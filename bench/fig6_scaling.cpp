@@ -3,8 +3,8 @@
 // Paper take-aways to reproduce: (strong) event rate grows with rank count
 // for a fixed graph; (weak) for a fixed rank count, graph size barely
 // moves the event rate — rate tracks structure, not scale.
-// Host note: with a single physical core, multi-rank cells measure
-// middleware overhead shape rather than true parallel speedup.
+// Ranks are threads on one host: speedup is bounded by its core count, and
+// cells with more ranks than cores measure middleware overhead instead.
 #include <cstdio>
 
 #include "bench_util.hpp"

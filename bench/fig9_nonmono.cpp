@@ -195,7 +195,6 @@ int main() {
       cfg.num_ranks = ranks;
       apply_obs_env(cfg);
       apply_comm_env(cfg);
-      apply_memory_env(cfg);
       Engine engine(cfg);
       const ProgramId id = attach(engine);
       std::vector<EdgeEvent> adds;

@@ -61,10 +61,6 @@
 #include "core/static_on_dynamic.hpp"
 #include "core/vertex_program.hpp"
 
-// Memory & locality plane (huge-page arenas, NUMA topology, rank pinning)
-#include "runtime/memory.hpp"
-#include "runtime/topology.hpp"
-
 // Query serving plane (epoch-consistent reads, conflict-scheduled writes)
 #include "runtime/conflict.hpp"
 #include "serve/query_service.hpp"

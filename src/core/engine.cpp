@@ -63,9 +63,12 @@ void VertexContext::set_value(StateWord v) {
   const StateWord* c = pr.cur.find(vertex_);
   const StateWord old_val = c ? *c : identity;
   // Copy-on-first-new-epoch-write (Section III-D): freeze S_prev before a
-  // new-epoch cause mutates the shared state.
-  if (eng.versioned_collection_active() && epoch_ == eng.current_epoch() &&
-      !pr.prev.contains(vertex_))
+  // new-epoch cause mutates the shared state — unless this rank already
+  // harvested the cut, which retired S_prev for good (RankRuntime::
+  // harvested_epoch).
+  const std::uint16_t cur_epoch = eng.current_epoch();
+  if (eng.versioned_collection_active() && epoch_ == cur_epoch &&
+      rt_->harvested_epoch != cur_epoch && !pr.prev.contains(vertex_))
     pr.prev.insert_or_assign(vertex_, old_val);
   pr.cur.insert_or_assign(vertex_, v);
   detail::fire_triggers(pr, vertex_, old_val, v);
@@ -142,25 +145,14 @@ void VertexContext::send_probe_all_nbrs() {
 
 namespace {
 constexpr auto kPollInterval = std::chrono::microseconds(50);
-
-std::vector<Arena*> rank_arenas(const MemoryPlane& plane, RankId num_ranks) {
-  std::vector<Arena*> out(num_ranks, nullptr);
-  for (RankId r = 0; r < num_ranks; ++r) out[r] = plane.rank_arena(r);
-  return out;
-}
 }  // namespace
 
 Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
-      memory_plane_(cfg.memory, cfg.pinning, cfg.num_ranks),
       part_(cfg.num_ranks, cfg.partition),
-      comm_(cfg.num_ranks, cfg.batch_size, cfg.mailbox_ring_capacity,
-            rank_arenas(memory_plane_, cfg.num_ranks)),
+      comm_(cfg.num_ranks, cfg.batch_size, cfg.mailbox_ring_capacity),
       safra_(cfg.num_ranks) {
   REMO_CHECK(cfg_.num_ranks > 0);
-  // Anything the memory plane could not deliver (hugetlb tier, NUMA bind,
-  // pin slots) is announced up front — degraded, never silent.
-  memory_plane_.print_banner_once();
   trace_base_ns_ = obs::monotonic_ns();
   const bool tracing = cfg_.obs.trace && obs::kTraceCompiledIn;
   if (tracing) main_trace_ = std::make_unique<obs::TraceBuffer>(cfg_.obs.trace_capacity);
@@ -183,8 +175,7 @@ Engine::Engine(EngineConfig cfg)
   }
   ranks_.reserve(cfg_.num_ranks);
   for (RankId r = 0; r < cfg_.num_ranks; ++r) {
-    auto rt = std::make_unique<detail::RankRuntime>(cfg_.store,
-                                                    memory_plane_.rank_arena(r));
+    auto rt = std::make_unique<detail::RankRuntime>(cfg_.store);
     rt->engine = this;
     rt->comm = &comm_;
     rt->safra = &safra_;

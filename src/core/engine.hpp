@@ -256,11 +256,6 @@ class Engine {
 
   const Partitioner& partitioner() const noexcept { return part_; }
 
-  /// The locality plane: topology snapshot, pin plan, per-rank arenas
-  /// (DESIGN.md "Memory & locality"). Its to_json() block rides along in
-  /// BENCH reports so A/B locality evidence is self-describing.
-  const MemoryPlane& memory_plane() const noexcept { return memory_plane_; }
-
   /// True while a versioned collection is splitting state (internal, but
   /// harmless to observe).
   bool versioned_collection_active() const noexcept {
@@ -327,10 +322,6 @@ class Engine {
   Snapshot harvest(ProgramId p);
 
   EngineConfig cfg_;
-  // Declared before comm_ and ranks_ (and thus destroyed after them):
-  // arena chunks must outlive every container that bump-allocated from
-  // them — mailbox rings, storage shards (ASan-audited teardown order).
-  MemoryPlane memory_plane_;
   Partitioner part_;
   Comm comm_;
   SafraRing safra_;

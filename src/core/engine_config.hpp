@@ -6,9 +6,7 @@
 
 #include "common/types.hpp"
 #include "obs/obs_config.hpp"
-#include "runtime/memory.hpp"
 #include "runtime/partitioner.hpp"
-#include "runtime/topology.hpp"
 #include "storage/degaware_store.hpp"
 
 namespace remo {
@@ -71,16 +69,6 @@ struct EngineConfig {
 
   /// Dynamic graph store tuning.
   StoreConfig store{};
-
-  /// Rank-to-core placement (DESIGN.md "Memory & locality"). kNone (the
-  /// default) makes no affinity calls; the other modes pin each rank
-  /// thread per the sysfs-discovered topology — kNumaSpread keeps ranks
-  /// near the node their arena is bound to.
-  PinningMode pinning = PinningMode::kNone;
-
-  /// Memory-plane knobs: per-rank huge-page arenas for storage shards and
-  /// inbound mailbox rings, NUMA binding. All off by default.
-  MemoryConfig memory{};
 
   /// Observability: latency histograms, phase timers, chrome-trace capture
   /// (docs/OBSERVABILITY.md).

@@ -120,6 +120,13 @@ struct RankRuntime {
   // at a loop-iteration boundary.
   std::atomic<std::uint16_t> epoch_seen{0};
 
+  // Epoch current when this rank last harvested (rank thread only). A
+  // versioned collection retires S_prev rank by rank, but the engine-wide
+  // versioned flag stays up until the last rank has harvested; a rank that
+  // already harvested in this epoch must not freeze S_prev again, or the
+  // next cut would report the stale frozen value (VertexContext::set_value).
+  std::uint16_t harvested_epoch = 0;
+
   // Safra token currently held (if any).
   bool holds_token = false;
   bool token_parked = false;  // restart throttling: forward after one park
@@ -144,8 +151,7 @@ struct RankRuntime {
   std::vector<MergeSlot> merge_slots;
   std::uint32_t merge_stamp = 0;
 
-  explicit RankRuntime(StoreConfig store_cfg, Arena* arena = nullptr)
-      : store(store_cfg, arena) {}
+  explicit RankRuntime(StoreConfig store_cfg) : store(store_cfg) {}
 
   /// Route a visitor to the owner of its target vertex. Taken by value:
   /// when lineage tracing is on, visitors emitted while a caused visitor

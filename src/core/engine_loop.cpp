@@ -363,6 +363,7 @@ void Engine::do_harvest(detail::RankRuntime& rt, ProgramId p) {
   // Retire every program's S_prev: the epoch is over for the whole engine,
   // and stale splits would poison the next collection.
   for (auto& each : rt.progs) each.prev.clear();
+  rt.harvested_epoch = epoch_.load(std::memory_order_acquire);
   if (obs_on) {
     const std::uint64_t dt = obs_now() - t0;
     rt.obs_control_ns += dt;
@@ -527,11 +528,6 @@ void Engine::absorb_pending_triggers(detail::RankRuntime& rt) {
 
 void Engine::rank_main(RankId r) {
   detail::RankRuntime& rt = *ranks_[r];
-  // Apply the pin plan before any allocation or counter attach: first-touch
-  // placement of thread-local state should happen on the planned core, and
-  // perf counter fds inherit this thread's CPU affinity.
-  if (cfg_.pinning != PinningMode::kNone)
-    pin_current_thread(memory_plane_.plan().slots[r].cpu);
   std::vector<Visitor> batch;
   std::uint32_t passive_streak = 0;  // consecutive no-work iterations
   // Loop-pacing RNG (chaos delays). By default a fixed per-rank seed; the

@@ -109,7 +109,7 @@ constexpr std::uint64_t kDtlbRead =
 // Leader first within each group: the group-0 cycles counter anchors the
 // original seven-event group; members that fail to open (virtualised PMUs
 // routinely lack stalled-cycles or LLC events) are dropped individually.
-// The dTLB pair (the huge-page A/B evidence) lives in a *second* group
+// The dTLB pair (the page-size evidence) lives in a *second* group
 // with its own leader so it never overcommits group 0 — most PMUs schedule
 // 4-6 generic counters per group, and a too-big group silently multiplexes
 // or refuses members. The page-fault software events ride in group 1
@@ -272,8 +272,8 @@ class RusageBackend final : public CounterBackend {
 #ifdef __linux__
     // Task-clock plus the per-thread fault counters: on PMU-less hosts
     // (every CI container) the minor-fault rate is the locality evidence
-    // the dTLB counters would otherwise carry — THP-backed arenas cut it
-    // by ~512x on touched memory.
+    // the dTLB counters would otherwise carry — 2 MiB pages cut it by
+    // ~512x on touched memory.
     return prof_counter_bit(ProfCounter::kTaskClockNs) |
            prof_counter_bit(ProfCounter::kMinorFaults) |
            prof_counter_bit(ProfCounter::kMajorFaults);

@@ -58,7 +58,7 @@ enum class ProfCounter : std::uint8_t {
   kLlcMisses,
   kBranchMisses,
   kStalledCycles,
-  kDtlbLoads,     ///< dTLB load accesses (the huge-page A/B evidence pair)
+  kDtlbLoads,     ///< dTLB load accesses (the page-size evidence pair)
   kDtlbMisses,    ///< dTLB load misses
   kMinorFaults,   ///< software counter; also fed by the rusage fallback
   kMajorFaults,   ///< software counter; also fed by the rusage fallback

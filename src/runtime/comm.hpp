@@ -58,21 +58,15 @@ class Comm {
     CombineFn fn = nullptr;
   };
 
-  /// `arenas` (optional, one per rank) back the inbound mailbox rings:
-  /// rank r's mailbox — which r alone drains — allocates its slot arrays
-  /// from arenas[r], i.e. on the consumer's NUMA node.
   explicit Comm(RankId num_ranks, std::size_t batch_size = 128,
-                std::size_t ring_capacity = 16384,
-                const std::vector<Arena*>& arenas = {})
+                std::size_t ring_capacity = 16384)
       : batch_size_(batch_size),
         shards_(static_cast<std::size_t>(num_ranks) + 1) {
     REMO_CHECK(num_ranks > 0);
     REMO_CHECK(batch_size > 0);
     ranks_.reserve(num_ranks);
     for (RankId r = 0; r < num_ranks; ++r)
-      ranks_.push_back(std::make_unique<PerRank>(
-          num_ranks, ring_capacity,
-          r < arenas.size() ? arenas[r] : nullptr));
+      ranks_.push_back(std::make_unique<PerRank>(num_ranks, ring_capacity));
   }
 
   RankId size() const noexcept { return static_cast<RankId>(ranks_.size()); }
@@ -270,8 +264,8 @@ class Comm {
   };
 
   struct PerRank {
-    PerRank(RankId n, std::size_t ring_capacity, Arena* arena)
-        : box(n, ring_capacity, arena), out(n) {}
+    PerRank(RankId n, std::size_t ring_capacity)
+        : box(n, ring_capacity), out(n) {}
     Mailbox box;
     std::vector<OutBuf> out;     // per-destination send buffers
     std::vector<RankId> dirty;   // destinations with listed OutBufs (owner only)

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "runtime/memory.hpp"
 #include "runtime/message.hpp"
 
 namespace remo {
@@ -48,19 +47,12 @@ class Mailbox {
   /// push_from) of `ring_capacity` slots each (rounded up to a power of
   /// two). With zero producers every push takes the overflow path — the
   /// configuration standalone tests use.
-  ///
-  /// `arena` (optional) backs the ring slot arrays. The mailbox belongs to
-  /// its consumer, so passing the *consumer rank's* node-bound arena puts
-  /// every ring on the node that drains it — the consumer walks all
-  /// producers' rings each drain() while each producer writes its one ring
-  /// once, so consumer-side placement wins (DESIGN.md "Memory & locality").
-  explicit Mailbox(RankId producers = 0, std::size_t ring_capacity = 16384,
-                   Arena* arena = nullptr) {
+  explicit Mailbox(RankId producers = 0, std::size_t ring_capacity = 16384) {
     std::size_t cap = 8;
     while (cap < ring_capacity) cap <<= 1;
     rings_.reserve(producers);
     for (RankId p = 0; p < producers; ++p)
-      rings_.push_back(std::make_unique<Ring>(cap, arena));
+      rings_.push_back(std::make_unique<Ring>(cap));
   }
 
   RankId producers() const noexcept { return static_cast<RankId>(rings_.size()); }
@@ -242,10 +234,8 @@ class Mailbox {
 
  private:
   struct alignas(64) Ring {
-    Ring(std::size_t cap, Arena* arena)
-        : slots(cap, Visitor{}, ArenaAllocator<Visitor>(arena)),
-          mask(cap - 1) {}
-    std::vector<Visitor, ArenaAllocator<Visitor>> slots;
+    explicit Ring(std::size_t cap) : slots(cap), mask(cap - 1) {}
+    std::vector<Visitor> slots;
     std::uint64_t mask;
     // Producer side: writes tail (release); caches head to avoid reading
     // the consumer's line on every push.

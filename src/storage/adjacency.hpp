@@ -54,11 +54,6 @@ class TwoTierAdjacency {
 
   TwoTierAdjacency() = default;
 
-  /// Arena-backed edge table (the promoted tier; the inline tier lives in
-  /// the vertex record itself, which the store already placed). nullptr:
-  /// heap, identical to the default constructor.
-  explicit TwoTierAdjacency(Arena* arena) : table_(arena) {}
-
   std::size_t degree() const noexcept {
     return promoted() ? table_.size() : inline_.size();
   }

@@ -50,11 +50,7 @@ class DegAwareStore {
 
   DegAwareStore() = default;
 
-  /// `arena` (optional) backs the vertex map and every promoted edge table
-  /// so the whole shard lives on the owning rank's NUMA node; it must
-  /// outlive the store. nullptr keeps today's heap behaviour.
-  explicit DegAwareStore(StoreConfig cfg, Arena* arena = nullptr)
-      : cfg_(cfg), arena_(arena), vertices_(arena) {}
+  explicit DegAwareStore(StoreConfig cfg) : cfg_(cfg) {}
 
   /// Insert directed edge src -> dst with weight w. Creates the source
   /// vertex record on first touch.
@@ -149,14 +145,10 @@ class DegAwareStore {
   };
 
   std::pair<VertexRecord*, bool> touch(VertexId v) {
-    // Fresh records inherit the store's arena so their promoted edge
-    // tables land on the same node as the vertex map.
-    return vertices_.find_or_emplace(
-        v, [this] { return VertexRecord{TwoTierAdjacency(arena_)}; });
+    return vertices_.find_or_emplace(v, [] { return VertexRecord{}; });
   }
 
   StoreConfig cfg_{};
-  Arena* arena_ = nullptr;
   RobinHoodMap<VertexId, VertexRecord> vertices_;
   std::size_t edge_count_ = 0;
 };

@@ -26,7 +26,6 @@
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
-#include "runtime/memory.hpp"
 
 namespace remo {
 
@@ -39,16 +38,6 @@ class RobinHoodMap {
   RobinHoodMap() = default;
 
   explicit RobinHoodMap(std::size_t expected) { reserve(expected); }
-
-  /// Back the three slot arrays with `arena` (nullptr: plain heap, the
-  /// default-constructed behaviour). The arena must outlive the map.
-  explicit RobinHoodMap(Arena* arena)
-      : meta_(ArenaAllocator<std::uint8_t>(arena)),
-        keys_(ArenaAllocator<Key>(arena)),
-        values_(ArenaAllocator<Value>(arena)) {}
-
-  /// The backing arena, or nullptr for heap-backed maps.
-  Arena* arena() const noexcept { return meta_.get_allocator().arena(); }
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
@@ -282,8 +271,6 @@ class RobinHoodMap {
 
   void rehash(std::size_t new_cap) {
     ++generation_;  // every resident moves
-    // Moved-from vectors keep (a copy of) their allocator, so the assign/
-    // resize below re-acquires from the same arena the old arrays used.
     auto old_meta = std::move(meta_);
     auto old_keys = std::move(keys_);
     auto old_values = std::move(values_);
@@ -295,9 +282,9 @@ class RobinHoodMap {
       if (old_meta[i] != 0) insert_new(std::move(old_keys[i]), std::move(old_values[i]));
   }
 
-  std::vector<std::uint8_t, ArenaAllocator<std::uint8_t>> meta_;
-  std::vector<Key, ArenaAllocator<Key>> keys_;
-  mutable std::vector<Value, ArenaAllocator<Value>> values_;
+  std::vector<std::uint8_t> meta_;
+  std::vector<Key> keys_;
+  mutable std::vector<Value> values_;
   std::size_t size_ = 0;
   std::uint64_t generation_ = 0;  // handle-stability epoch (see generation())
 };

@@ -133,6 +133,37 @@ TEST(Snapshots, RepeatedVersionedCollectionsAreMonotone) {
   for (const auto& [v, lvl2] : c2) EXPECT_LE(c3.at(v), lvl2) << "vertex " << v;
 }
 
+TEST(Snapshots, CutAfterLiveCutsMatchesQuiescentState) {
+  // A cut retires S_prev rank by rank, while the engine-wide versioned flag
+  // stays up until the last rank has harvested. A rank that already
+  // harvested must not re-freeze S_prev on a new-epoch write in that
+  // window, or the following cut reports the stale frozen value. Cut
+  // under live ingest, let the system settle, then a versioned cut of the
+  // quiescent system must equal the quiescent harvest exactly.
+  const EdgeList edges =
+      generate_erdos_renyi({.num_vertices = 3000, .num_edges = 24000, .seed = 91});
+  constexpr std::size_t kBatches = 12;
+  const std::size_t per_batch = edges.size() / kBatches;
+
+  Engine engine(EngineConfig{.num_ranks = 4});
+  auto [id, cc] = engine.attach_make<DynamicCc>();
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    const EdgeList batch(edges.begin() + b * per_batch,
+                         edges.begin() + (b + 1) * per_batch);
+    const StreamSet streams = make_streams(batch, 4, StreamOptions{.seed = b});
+    engine.ingest_async(streams);
+    (void)engine.collect_versioned(id);  // mid-flight
+    engine.await_quiescence();
+
+    const Snapshot cut = engine.collect_versioned(id);
+    const Snapshot settled = engine.collect_quiescent(id);
+    ASSERT_EQ(cut.size(), settled.size()) << "batch " << b;
+    std::size_t stale = 0;
+    for (const auto& [v, label] : settled) stale += cut.at(v) != label;
+    ASSERT_EQ(stale, 0u) << "batch " << b << ": stale values in the cut";
+  }
+}
+
 TEST(Snapshots, CollectionForOneProgramDoesNotDisturbAnother) {
   const EdgeList edges =
       generate_erdos_renyi({.num_vertices = 200, .num_edges = 1000, .seed = 55});

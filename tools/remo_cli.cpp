@@ -7,7 +7,6 @@
 //                 [--weights MAX] [--snapshot out.txt] [--safra]
 //   remo serve    --graph graph.bin [--queries N] [--query-threads T]
 //                 [--refresh-ms MS] [--gate] [--spans] [--stats-json FILE]
-//   remo prof     --graph graph.bin [...]   (ingest with --prof forced on)
 //   remo bench-compare A.json B.json [--gate METRIC=PCT] [--force]
 //
 // Files ending in .txt use the text edge format; everything else the
@@ -78,9 +77,6 @@ int usage() {
                "                [--algo none|bfs|sssp|cc|st|degree|wsssp|pagerank] [--source V]\n"
                "                [--tolerance X] [--weights MAX] [--snapshot OUT.txt] [--safra]\n"
                "                [--batch-size N] [--no-coalesce]\n"
-               "                [--pinning none|compact|scatter|numa-spread]\n"
-               "                [--arenas] [--no-hugepages] [--no-numa-bind]\n"
-               "                [--arena-chunk BYTES]\n"
                "                [--stats] [--stats-json FILE] [--trace FILE]\n"
                "                [--latency-sample SHIFT]\n"
                "                [--lineage] [--lineage-out FILE] [--lineage-sample SHIFT]\n"
@@ -89,7 +85,6 @@ int usage() {
                "                [--prof] [--prof-out FILE] [--prof-shift N]\n"
                "                [--prof-backend auto|perf|perf_event|rusage|noop|none]\n"
                "                [--folded FILE] [--prof-period-us US]\n"
-               "  remo prof     (alias: ingest with --prof forced on)\n"
                "  remo serve    --graph FILE [--ranks N] [--streams N] [--source V]\n"
                "                [--queries N] [--query-threads T] [--refresh-ms MS]\n"
                "                [--top-k K] [--safra] [--seed S]\n"
@@ -101,8 +96,6 @@ int usage() {
                "                [--prof] [--prof-out FILE] [--prof-shift N]\n"
                "                [--prof-backend auto|perf|perf_event|rusage|noop|none]\n"
                "                [--folded FILE] [--prof-period-us US]\n"
-               "                [--pinning MODE] [--arenas] [--no-hugepages]\n"
-               "                [--no-numa-bind] [--arena-chunk BYTES]\n"
                "  remo trace-analyze --lineage FILE [--top K] [--min-descendants N]\n"
                "  remo trace-analyze --spans FILE [--tail] [--tail-pct P]\n"
                "                     [--require-complete]\n"
@@ -178,17 +171,6 @@ int usage() {
                "  --batch-size N     per-destination send-buffer batch (default 128)\n"
                "  --no-coalesce      deliver every Update visitor verbatim instead\n"
                "                     of merging same-sender monotone updates\n"
-               "\n"
-               "memory & locality (DESIGN.md \"Memory & locality\"):\n"
-               "  --pinning MODE     pin rank threads to cores: none (default) |\n"
-               "                     compact | scatter | numa-spread\n"
-               "  --arenas           route vertex storage and mailbox rings through\n"
-               "                     per-rank huge-page arenas bound to the rank's\n"
-               "                     NUMA node (degrades to THP, then plain pages,\n"
-               "                     with a stderr banner — never fails)\n"
-               "  --no-hugepages     skip the hugetlb/THP tiers (plain pages)\n"
-               "  --no-numa-bind     skip mbind; rely on first-touch only\n"
-               "  --arena-chunk N    arena chunk size in bytes (default 8 MiB)\n"
                "\n"
                "hardware counters (docs/OBSERVABILITY.md \"Profiling\"):\n"
                "  --prof             open per-rank counter groups (cycles, instr,\n"
@@ -313,28 +295,6 @@ void apply_prof_args(const Args& a, EngineConfig& cfg) {
   }
 }
 
-// --- Memory & locality plane (DESIGN.md "Memory & locality") ----------------
-
-/// Fold the --pinning / --arenas flags into the engine config. Degradation
-/// (no hugepages, no NUMA, rank > CPU wrap) prints a banner at engine
-/// construction but never fails the run.
-int apply_memory_args(const Args& a, EngineConfig& cfg) {
-  if (const std::string mode = a.str("pinning"); !mode.empty()) {
-    if (!parse_pinning_mode(mode.c_str(), &cfg.pinning)) {
-      std::fprintf(stderr,
-                   "unknown --pinning mode '%s' (expected none | compact | "
-                   "scatter | numa-spread)\n", mode.c_str());
-      return usage();
-    }
-  }
-  if (a.flag("arenas")) cfg.memory.arenas = true;
-  if (a.flag("no-hugepages")) cfg.memory.huge_pages = false;
-  if (a.flag("no-numa-bind")) cfg.memory.numa_bind = false;
-  if (const std::uint64_t n = a.num("arena-chunk", 0); n > 0)
-    cfg.memory.arena_chunk_bytes = static_cast<std::size_t>(n);
-  return 0;
-}
-
 /// Print the attribution tables and write the requested artefacts after a
 /// run. Returns nonzero only on a write failure (degraded backends print a
 /// banner but exit clean — CI containers without perf access must pass).
@@ -376,7 +336,6 @@ int cmd_ingest(const Args& a) {
   if (a.flag("safra")) cfg.termination = TerminationMode::kSafra;
   cfg.batch_size = static_cast<std::size_t>(a.num("batch-size", cfg.batch_size));
   if (a.flag("no-coalesce")) cfg.coalesce = false;
-  if (const int rc = apply_memory_args(a, cfg); rc != 0) return rc;
 
   const bool want_stats = a.flag("stats");
   const std::string stats_json = a.str("stats-json");
@@ -540,11 +499,7 @@ int cmd_ingest(const Args& a) {
         std::fprintf(stderr, "cannot open %s\n", stats_json.c_str());
         return 1;
       }
-      Json doc = snap.to_json();
-      // Achieved memory-plane state (page backing tier, pin slots,
-      // degradation note) — the dTLB runbook points here.
-      doc["memory"] = engine.memory_plane().to_json();
-      const std::string text = doc.dump(2);
+      const std::string text = snap.to_json().dump(2);
       std::fwrite(text.data(), 1, text.size(), f);
       std::fputc('\n', f);
       std::fclose(f);
@@ -609,7 +564,6 @@ int cmd_serve(const Args& a) {
   if (a.flag("safra")) cfg.termination = TerminationMode::kSafra;
   cfg.obs.trace = !trace_path.empty();
   apply_prof_args(a, cfg);
-  if (const int rc = apply_memory_args(a, cfg); rc != 0) return rc;
   Engine engine(cfg);
 
   std::unique_ptr<obs::SpanRecorder> spans;
@@ -1197,14 +1151,10 @@ int cmd_fuzz_repro(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args a = parse(argc, argv);
+  const Args a = parse(argc, argv);
   if (a.command == "generate") return cmd_generate(a);
   if (a.command == "stats") return cmd_stats(a);
   if (a.command == "ingest") return cmd_ingest(a);
-  if (a.command == "prof") {  // ingest with profiling forced on
-    a.kv["--prof"] = "1";
-    return cmd_ingest(a);
-  }
   if (a.command == "serve") return cmd_serve(a);
   if (a.command == "trace-analyze") return cmd_trace_analyze(a);
   if (a.command == "bench-compare") return cmd_bench_compare(argc, argv);
