@@ -124,7 +124,7 @@ class Engine {
   /// observation, per Section III-E).
   StateWord state_of(ProgramId p, VertexId v) const;
 
-  /// Pause streams, drain, gather all non-identity state, resume.
+  /// Pause streams, drain, harvest the program's state, resume.
   Snapshot collect_quiescent(ProgramId p);
 
   /// Gather the program's auxiliary per-vertex word (e.g. the BFS/SSSP
@@ -136,6 +136,14 @@ class Engine {
   /// streams at "now", keep ingesting the new epoch, and return the state
   /// at the cut once the old epoch drains. Never pauses the streams.
   Snapshot collect_versioned(ProgramId p);
+
+  /// collect_versioned for several distinct programs from one cut: one
+  /// epoch split, one drain and one harvest, so every result carries the
+  /// same epoch. On the harvest each rank copies each program's state map
+  /// and writes the entries it froze in S_prev over the copy; nothing is
+  /// gathered or sorted. Results follow the order of `programs`.
+  std::vector<ShardedState> collect_versioned_shards(
+      const std::vector<ProgramId>& programs);
 
   // --- "When" queries (Section III-E) -----------------------------------------
 
@@ -312,14 +320,17 @@ class Engine {
   void handle_control(detail::RankRuntime& rt, const Visitor& v);
   void handle_safra_idle(detail::RankRuntime& rt);
   void absorb_pending_triggers(detail::RankRuntime& rt);
-  void do_harvest(detail::RankRuntime& rt, ProgramId p);
+  void copy_state_maps(detail::RankRuntime& rt, std::uint64_t program_mask);
   void do_repair_anchors(detail::RankRuntime& rt, ProgramId p);
   void do_repair_probes(detail::RankRuntime& rt, ProgramId p);
   void await_in_flight_zero();
   /// Push one control visitor per rank from the main thread and block
-  /// until every rank has acknowledged via control_acks_.
-  void broadcast_control_and_wait(ControlOp op, ProgramId p);
-  Snapshot harvest(ProgramId p);
+  /// until every rank has acknowledged via control_acks_. `payload` rides
+  /// in Visitor::value.
+  void broadcast_control_and_wait(ControlOp op, ProgramId p, StateWord payload = 0);
+  /// Every rank's copy of each program's state (the caller holds op_mutex_
+  /// and has drained or cut the epoch).
+  std::vector<ShardedState> harvest(const std::vector<ProgramId>& programs);
 
   EngineConfig cfg_;
   Partitioner part_;

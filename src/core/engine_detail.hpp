@@ -137,9 +137,10 @@ struct RankRuntime {
   std::vector<PendingTrigger> pending_triggers;
   std::atomic<bool> has_pending{false};
 
-  // Harvest output slot (written by rank, read by main after the ack).
-  std::mutex harvest_mutex;
-  std::vector<Snapshot::Entry> harvest_out;
+  // The harvest's copies of this rank's state maps, one per program slot
+  // (written by the rank, moved out by main after the ack).
+  std::mutex state_copies_mutex;
+  std::vector<ShardedState::Shard> state_copies;
 
   // Receiver-side coalescing scratch (the drained-batch merge pass in
   // rank_main): open-addressing slots invalidated wholesale by bumping

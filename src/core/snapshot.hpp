@@ -1,8 +1,10 @@
 // Snapshot: discretised global algorithm state (Section II-C / III-D).
 //
 // A snapshot holds, for one program, every vertex whose state differs from
-// the program's identity at the discretisation point. Produced either by
-// Engine::collect_quiescent (drain, then gather) or by
+// the program's identity at the discretisation point, sorted by vertex.
+// Both collectors harvest a ShardedState first — each rank copies its state
+// map, nothing is gathered or sorted globally — and Snapshot is its sorted
+// form: Engine::collect_quiescent (drain, then harvest) and
 // Engine::collect_versioned (Chandy-Lamport-style epoch split — ingestion
 // keeps running while the previous epoch drains).
 #pragma once
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "storage/robin_hood_map.hpp"
 
 namespace remo {
 
@@ -55,6 +58,30 @@ class Snapshot {
   std::vector<Entry> entries_;  // sorted by vertex id
   StateWord identity_ = kInfiniteState;
   std::uint16_t epoch_ = 0;
+};
+
+/// One program's state at a cut, split by owner rank: shards[r] is rank r's
+/// state map as its harvest copied it — the live map with the entries the
+/// rank froze in S_prev written over it. A shard may hold identity values
+/// (a vertex reset to the identity); readers treat them as absent.
+struct ShardedState {
+  using Shard = RobinHoodMap<VertexId, StateWord>;
+
+  std::vector<Shard> shards;  // indexed by Partitioner::owner
+  StateWord identity = kInfiniteState;
+  std::uint16_t epoch = 0;  // as Snapshot::epoch()
+
+  /// The same state as a sorted Snapshot, identity values left out.
+  Snapshot to_snapshot() const {
+    std::vector<Snapshot::Entry> entries;
+    for (const Shard& shard : shards)
+      shard.for_each([&](const VertexId& v, const StateWord& val) {
+        if (val != identity) entries.emplace_back(v, val);
+      });
+    Snapshot snap(std::move(entries), identity);
+    snap.set_epoch(epoch);
+    return snap;
+  }
 };
 
 }  // namespace remo

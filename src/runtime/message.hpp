@@ -33,7 +33,7 @@ enum class VisitKind : std::uint8_t {
 /// Control sub-opcodes carried in Visitor::other when kind == kControl.
 enum class ControlOp : std::uint64_t {
   kSafraToken = 1,    ///< value = accumulated count, weight = colour (1 black)
-  kHarvest = 2,       ///< gather program `algo`'s snapshot slice
+  kHarvest = 2,       ///< copy the state of every program in mask `value`
   kRepairAnchors = 3, ///< start repair phase A for program `algo`
   kRepairProbes = 4,  ///< start repair phase B for program `algo`
 };

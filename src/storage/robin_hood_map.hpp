@@ -17,8 +17,13 @@
 //    probe distance is shorter, keeping the variance of probe lengths small.
 //  * backward-shift deletion: no tombstones, so long-lived dynamic graphs
 //    do not degrade as edges churn.
+//  * the home slot comes from the hash's high half. The partitioner routes
+//    a vertex by the same hash mod P (runtime/partitioner.hpp), so with P a
+//    power of two the low bits of every key one rank owns are equal, and
+//    homes taken from them would crowd one slot in P.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -89,7 +94,7 @@ class RobinHoodMap {
         static_cast<double>(size_ + 1) <=
             kMaxLoad * static_cast<double>(meta_.size())) {
       const std::size_t mask = meta_.size() - 1;
-      std::size_t idx = Hash{}(static_cast<std::uint64_t>(key)) & mask;
+      std::size_t idx = home(key) & mask;
       std::uint8_t dist = 1;
       while (dist != 255) {
         const std::uint8_t m = meta_[idx];
@@ -162,7 +167,7 @@ class RobinHoodMap {
   const Value* find(const Key& key) const noexcept {
     if (meta_.empty()) return nullptr;
     const std::size_t mask = meta_.size() - 1;
-    std::size_t idx = Hash{}(static_cast<std::uint64_t>(key)) & mask;
+    std::size_t idx = home(key) & mask;
     std::uint8_t dist = 1;
     while (true) {
       const std::uint8_t m = meta_[idx];
@@ -181,7 +186,7 @@ class RobinHoodMap {
   bool erase(const Key& key) {
     if (meta_.empty()) return false;
     const std::size_t mask = meta_.size() - 1;
-    std::size_t idx = Hash{}(static_cast<std::uint64_t>(key)) & mask;
+    std::size_t idx = home(key) & mask;
     std::uint8_t dist = 1;
     while (true) {
       const std::uint8_t m = meta_[idx];
@@ -236,13 +241,18 @@ class RobinHoodMap {
   }
 
  private:
+  static std::size_t home(const Key& key) noexcept {
+    return static_cast<std::size_t>(
+        std::rotl(Hash{}(static_cast<std::uint64_t>(key)), 32));
+  }
+
   void insert_new(Key k, Value v) {
     if (meta_.empty() ||
         static_cast<double>(size_ + 1) > kMaxLoad * static_cast<double>(meta_.size()))
       rehash(meta_.empty() ? kMinCapacity : meta_.size() * 2);
 
     const std::size_t mask = meta_.size() - 1;
-    std::size_t idx = Hash{}(static_cast<std::uint64_t>(k)) & mask;
+    std::size_t idx = home(k) & mask;
     std::uint8_t dist = 1;
     while (true) {
       if (meta_[idx] == 0) {
