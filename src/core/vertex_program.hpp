@@ -73,6 +73,8 @@ class VertexContext {
 
   /// Secondary per-vertex word (e.g. the BFS/SSSP parent pointer used for
   /// deterministic trees and decremental repair). kInfiniteState if unset.
+  /// Not versioned: during a versioned collection the S_prev invocation
+  /// reads the live word and its writes are dropped (like set_nbr_memo's).
   StateWord aux() const;
   void set_aux(StateWord v);
 

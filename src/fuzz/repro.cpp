@@ -67,7 +67,7 @@ bool parse_bool(const std::string& tok, bool& out) {
 
 }  // namespace
 
-std::string repro_to_text(const FuzzCase& fc) {
+std::string repro_to_text(const FuzzCase& fc, const RunOptions& run) {
   const CaseConfig& c = fc.config;
   std::string out;
   out.reserve(256 + fc.events.size() * 16);
@@ -94,6 +94,7 @@ std::string repro_to_text(const FuzzCase& fc) {
   kv("schedule_seed", std::to_string(c.schedule_seed));
   kv("drop_nth_update", std::to_string(c.drop_nth_update));
   kv("source", std::to_string(fc.source));
+  if (run.query_observer) kv("query_observer", "1");
   kv("events", std::to_string(fc.events.size()));
   for (const EdgeEvent& e : fc.events) {
     out += e.op == EdgeOp::kAdd ? 'a' : 'd';
@@ -109,7 +110,7 @@ std::string repro_to_text(const FuzzCase& fc) {
 }
 
 bool repro_from_text(const std::string& text, FuzzCase& out,
-                     std::string* error) {
+                     std::string* error, RunOptions* run) {
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kReproMagic)
@@ -117,6 +118,7 @@ bool repro_from_text(const std::string& text, FuzzCase& out,
 
   FuzzCase fc;
   CaseConfig& c = fc.config;
+  RunOptions recorded;
   // Track which keys landed so a truncated header is an error, not a
   // silently defaulted config.
   bool seen[16] = {};
@@ -176,6 +178,8 @@ bool repro_from_text(const std::string& text, FuzzCase& out,
     } else if (key == "source") {
       ok = parse_u64(val, fc.source);
       seen[14] = true;
+    } else if (key == "query_observer") {
+      ok = parse_bool(val, recorded.query_observer);
     } else if (key == "events") {
       std::uint64_t n = 0;
       ok = parse_u64(val, n);
@@ -231,26 +235,28 @@ bool repro_from_text(const std::string& text, FuzzCase& out,
     return fail(error, strfmt("expected %zu event lines, found %zu", num_events,
                               fc.events.size()));
   out = std::move(fc);
+  if (run) *run = recorded;
   return true;
 }
 
 bool write_repro(const std::string& path, const FuzzCase& fc,
-                 std::string* error) {
+                 std::string* error, const RunOptions& run) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return fail(error, strfmt("cannot open %s for write", path.c_str()));
-  const std::string text = repro_to_text(fc);
+  const std::string text = repro_to_text(fc, run);
   f.write(text.data(), static_cast<std::streamsize>(text.size()));
   f.flush();
   if (!f) return fail(error, strfmt("write to %s failed", path.c_str()));
   return true;
 }
 
-bool read_repro(const std::string& path, FuzzCase& out, std::string* error) {
+bool read_repro(const std::string& path, FuzzCase& out, std::string* error,
+                RunOptions* run) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return fail(error, strfmt("cannot open %s", path.c_str()));
   std::ostringstream ss;
   ss << f.rdbuf();
-  return repro_from_text(ss.str(), out, error);
+  return repro_from_text(ss.str(), out, error, run);
 }
 
 }  // namespace remo::fuzz

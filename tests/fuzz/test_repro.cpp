@@ -61,6 +61,34 @@ TEST(Repro, FileRoundTrip) {
   EXPECT_EQ(back, fc);
 }
 
+TEST(Repro, QueryObserverIsRecordedAndReplayed) {
+  // Served answers are part of the verdict in query-observer mode, so a
+  // case found that way must replay that way.
+  const FuzzCase fc = fuzz::make_case(11);
+  const std::string plain = fuzz::repro_to_text(fc);
+  const std::string observed = fuzz::repro_to_text(fc, {.query_observer = true});
+  EXPECT_EQ(plain.find("query_observer"), std::string::npos)
+      << "the optional line appears only when the observer was on";
+  EXPECT_NE(observed.find("\nquery_observer 1\n"), std::string::npos);
+
+  FuzzCase back;
+  fuzz::RunOptions run;
+  std::string err;
+  ASSERT_TRUE(fuzz::repro_from_text(observed, back, &err, &run)) << err;
+  EXPECT_EQ(back, fc);
+  EXPECT_TRUE(run.query_observer);
+  EXPECT_EQ(fuzz::repro_to_text(back, run), observed);
+
+  ASSERT_TRUE(fuzz::repro_from_text(plain, back, &err, &run)) << err;
+  EXPECT_FALSE(run.query_observer);
+
+  const std::string path = ::testing::TempDir() + "remo_repro_observer.repro";
+  ASSERT_TRUE(fuzz::write_repro(path, fc, &err, {.query_observer = true})) << err;
+  run = {};
+  ASSERT_TRUE(fuzz::read_repro(path, back, &err, &run)) << err;
+  EXPECT_TRUE(run.query_observer);
+}
+
 TEST(Repro, ReadMissingFileFails) {
   FuzzCase out;
   std::string err;
