@@ -69,7 +69,7 @@ BenchReport::BenchReport(std::string name, std::string title)
   config["build"] = build_info_json();
   {
     // Record the observability knobs the environment resolved to, so A/B
-    // evidence (prof on vs off, lineage on vs off) is self-describing and
+    // evidence (prof on vs off) is self-describing and
     // bench-compare can refuse apples-to-oranges comparisons.
     EngineConfig cfg;
     apply_obs_env(cfg);
@@ -77,9 +77,6 @@ BenchReport::BenchReport(std::string name, std::string title)
     obs["prof"] = cfg.obs.prof;
     obs["prof_backend"] = obs::prof_backend_name(cfg.obs.prof_backend);
     obs["prof_sample_shift"] = static_cast<std::uint64_t>(cfg.obs.prof_sample_shift);
-    obs["lineage"] = cfg.obs.lineage;
-    obs["lineage_sample_shift"] =
-        static_cast<std::uint64_t>(cfg.obs.lineage_sample_shift);
     config["obs"] = obs;
   }
   doc_["config"] = std::move(config);
@@ -132,20 +129,13 @@ Json engine_obs_json(const Engine& engine) {
   const obs::MetricsSnapshot snap = engine.metrics_snapshot();
   const Json full = snap.to_json(/*include_per_rank=*/false);
   Json out = Json::object();
-  for (const char* key : {"counters", "update_latency", "phases", "lineage", "prof"})
+  for (const char* key : {"counters", "update_latency", "phases", "prof"})
     if (const Json* sec = full.find(key)) out[key] = *sec;
   out["gauges"] = engine.sample_gauges().to_json(/*include_per_rank=*/false);
   return out;
 }
 
 void apply_obs_env(EngineConfig& cfg) {
-  if (const char* on = std::getenv("REMO_OBS_LINEAGE"); on && *on && *on != '0')
-    cfg.obs.lineage = true;
-  if (const char* s = std::getenv("REMO_OBS_LINEAGE_SHIFT")) {
-    const int shift = std::atoi(s);
-    if (shift >= 0 && shift <= 32)
-      cfg.obs.lineage_sample_shift = static_cast<std::uint32_t>(shift);
-  }
   if (const char* on = std::getenv("REMO_OBS_PROF"); on && *on && *on != '0')
     cfg.obs.prof = true;
   if (const char* s = std::getenv("REMO_OBS_PROF_SHIFT")) {
@@ -187,15 +177,6 @@ Json comm_config_json() {
   j["coalesce"] = cfg.coalesce;
   j["mailbox_ring_capacity"] = static_cast<std::uint64_t>(cfg.mailbox_ring_capacity);
   return j;
-}
-
-void write_lineage_from_env(const Engine& engine) {
-  const char* path = std::getenv("REMO_LINEAGE_OUT");
-  if (!path || !*path || !engine.lineage_enabled()) return;
-  if (engine.write_lineage(path))
-    std::printf("lineage dump: %s\n", path);
-  else
-    std::fprintf(stderr, "bench: cannot write lineage dump %s\n", path);
 }
 
 std::unique_ptr<obs::MetricsExporter> exporter_from_env(Engine& engine) {

@@ -53,16 +53,11 @@ Json run_row(const std::string& dataset, RankId ranks, std::uint64_t events,
 /// stats-JSON shape — attach as a run row's "latency"/"messages"/"phases".
 /// Includes a "gauges" section: the final live-telemetry sample, whose
 /// convergence_lag_events must be 0 at quiescence (CI's bench-smoke job
-/// asserts this). When lineage tracing is on, a "lineage" amplification
-/// summary block rides along (sampled causes, visitors/update p50/p99,
-/// depth percentiles, cross-rank hop ratio).
+/// asserts this).
 Json engine_obs_json(const Engine& engine);
 
-/// Apply observability env knobs to an engine config (the lineage- and
-/// prof-overhead A/B knobs and CI's lineage-/prof-smoke jobs):
-///   REMO_OBS_LINEAGE        "1" enables lineage tracing ("0"/unset: off)
-///   REMO_OBS_LINEAGE_SHIFT  sampling shift (every 2^shift-th topology
-///                           event traced; default ObsConfig's 6)
+/// Apply observability env knobs to an engine config (the prof-overhead
+/// A/B knobs and CI's prof-smoke job):
 ///   REMO_OBS_PROF           "1" enables hardware-counter profiling
 ///   REMO_OBS_PROF_SHIFT     counter-read stride shift (every 2^shift-th
 ///                           phase boundary read; default ObsConfig's 4)
@@ -79,11 +74,6 @@ void apply_comm_env(EngineConfig& cfg);
 
 /// The comm knobs as resolved by apply_comm_env on a default config.
 Json comm_config_json();
-
-/// When $REMO_LINEAGE_OUT is set and `engine` has lineage tracing on, dump
-/// the merged remo-lineage-1 snapshot there for `remo_cli trace-analyze`.
-/// Call at quiescence (after ingest returns). No-op otherwise.
-void write_lineage_from_env(const Engine& engine);
 
 /// Attach a live-telemetry exporter when $REMO_METRICS_OUT is set (the
 /// bench-overhead A/B knob and CI's bench-smoke job):
@@ -138,10 +128,7 @@ SaturationResult measure_saturation(const EdgeList& edges, RankId ranks, int rep
     rates.push_back(stats.events_per_second);
     secs.push_back(stats.seconds);
     out.events = stats.events;
-    if (rep == repeats - 1) {
-      out.obs = engine_obs_json(engine);
-      write_lineage_from_env(engine);
-    }
+    if (rep == repeats - 1) out.obs = engine_obs_json(engine);
   }
   out.events_per_second = mean(rates);
   out.seconds = mean(secs);

@@ -84,10 +84,7 @@ int main() {
       engine.ingest(make_streams(data.edges, ranks,
                                  StreamOptions{.seed = 7 + static_cast<std::uint64_t>(rep)}));
       c_tot.push_back(t.seconds());
-      if (rep == repeats - 1) {
-        c_obs = engine_obs_json(engine);
-        write_lineage_from_env(engine);  // (c) has live propagation: richest dump
-      }
+      if (rep == repeats - 1) c_obs = engine_obs_json(engine);
     }
   }
 

@@ -19,8 +19,11 @@
 //
 // Arm selection: REMO_FIG9_ARM = "memo" | "scratch" | "both" (default).
 // Algorithm selection: REMO_FIG9_ALGO = "pagerank" | "wsssp" | "both"
-// (default). Lineage amplification (visitors per mutation) rides along in
-// each memo row's "lineage" block when REMO_OBS_LINEAGE=1.
+// (default). The memo rows' engine counters include the preload, so they
+// do not give a per-mutation cost; remo-bench's `pagerank-mutate` ledger
+// counts only its timed mutations (runtime.msgs_per_event and
+// core.callbacks_per_event: 121-124 per mutation in
+// bench/e2e/results/baseline.json).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -218,7 +221,6 @@ int main() {
         const Json checked = verify(engine, id);
         for (const auto& [key, value] : checked.members())
           out.obs[key] = value;
-        write_lineage_from_env(engine);
       }
     }
     out.seconds = mean(totals);

@@ -20,7 +20,6 @@
 #include "obs/exporter.hpp"
 #include "obs/gauges.hpp"
 #include "obs/histogram.hpp"
-#include "obs/lineage.hpp"
 #include "obs/obs_config.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/prof.hpp"

@@ -161,13 +161,6 @@ Engine::Engine(EngineConfig cfg)
   trace_base_ns_ = obs::monotonic_ns();
   const bool tracing = cfg_.obs.trace && obs::kTraceCompiledIn;
   if (tracing) main_trace_ = std::make_unique<obs::TraceBuffer>(cfg_.obs.trace_capacity);
-  if (cfg_.obs.lineage) {
-    // CauseId reserves 8 bits for the origin, with 0xFF meaning "main
-    // thread" — rank ids must stay below that.
-    REMO_CHECK_MSG(cfg_.num_ranks < obs::kMainOrigin,
-                   "lineage tracing supports at most 254 ranks");
-    main_lineage_ = std::make_unique<obs::LineageTable>(cfg_.obs.lineage_capacity);
-  }
   if (cfg_.obs.prof) {
     // Resolve once (the perf_event probe costs a syscall) and give every
     // rank its own backend instance: counter fds are per-thread.
@@ -192,11 +185,6 @@ Engine::Engine(EngineConfig cfg)
     rt->obs_sample_mask =
         (std::uint64_t{1} << (cfg_.obs.latency_sample_shift & 63)) - 1;
     if (tracing) rt->trace = std::make_unique<obs::TraceBuffer>(cfg_.obs.trace_capacity);
-    if (cfg_.obs.lineage) {
-      rt->lineage = std::make_unique<obs::LineageTable>(cfg_.obs.lineage_capacity);
-      rt->lineage_sample_mask =
-          (std::uint64_t{1} << (cfg_.obs.lineage_sample_shift & 63)) - 1;
-    }
     if (cfg_.obs.prof)
       rt->prof = std::make_unique<obs::RankProfiler>(
           r, obs::make_counter_backend(prof_backend_kind_),
@@ -277,24 +265,8 @@ void Engine::inject_edge(const EdgeEvent& e) {
   // engine_loop.cpp for the race this prevents).
   VertexId fwd_src = e.src, fwd_dst = e.dst;
   if (cfg_.undirected && fwd_dst < fwd_src) std::swap(fwd_src, fwd_dst);
-  Visitor vis{fwd_src, fwd_dst, 0, e.weight, kind, Visitor::kTopologyAlgo,
-              epoch_.load(std::memory_order_acquire)};
-  // Lineage sampling for API injections, mirroring the stream-pull sampler
-  // (self-loops skipped — they spawn no propagation). Origin 0xFF marks
-  // "main thread"; the atomics keep concurrent injectors safe.
-  if (main_lineage_ && e.src != e.dst &&
-      (main_lineage_seen_.fetch_add(1, std::memory_order_relaxed) &
-       ranks_[0]->lineage_sample_mask) == 0) {
-    std::uint32_t seq = main_lineage_seq_.fetch_add(1, std::memory_order_relaxed) &
-                        obs::kCauseSeqMask;
-    if (seq == 0) seq = 1;
-    vis.cause = obs::make_cause(obs::kMainOrigin, seq);
-    main_lineage_->record_origin(vis.cause, obs_now());
-    // Count the routing handoff as the root spawn, as the stream-pull path
-    // does via rt.send — every sampled cause records >= 1 descendant.
-    // remote=false: main -> owner is an injection, not a rank-boundary hop.
-    main_lineage_->record_spawn(vis.cause, 0, /*remote=*/false);
-  }
+  const Visitor vis{fwd_src, fwd_dst, 0, e.weight, kind, Visitor::kTopologyAlgo,
+                    epoch_.load(std::memory_order_acquire)};
   comm_.note_injected(vis.epoch);
   // Watermark bump strictly after the in-flight increment: a gauge sampler
   // that observes this count (acquire) therefore also observes the event
@@ -661,10 +633,6 @@ obs::MetricsSnapshot Engine::metrics_snapshot() const {
     s.per_rank.push_back(std::move(ro));
   }
   s.counters = metrics();  // includes the main thread's control sends
-  if (lineage_enabled()) {
-    s.lineage_enabled = true;
-    s.lineage = lineage_snapshot().summary();
-  }
   if (prof_enabled()) s.prof = prof_snapshot();
   return s;
 }
@@ -698,31 +666,6 @@ bool Engine::write_prof(const std::string& path) const {
 bool Engine::write_folded(const std::string& path) {
   if (!stack_sampler_) return false;
   return stack_sampler_->write_folded(path);
-}
-
-bool Engine::lineage_enabled() const noexcept { return main_lineage_ != nullptr; }
-
-obs::LineageSnapshot Engine::lineage_snapshot() const {
-  if (!lineage_enabled()) return {};
-  std::vector<obs::LineageCellSnapshot> cells;
-  std::uint64_t dropped = main_lineage_->dropped();
-  for (RankId r = 0; r < cfg_.num_ranks; ++r) {
-    const auto rank_cells = ranks_[r]->lineage->snapshot(r);
-    cells.insert(cells.end(), rank_cells.begin(), rank_cells.end());
-    dropped += ranks_[r]->lineage->dropped();
-  }
-  const auto main_cells = main_lineage_->snapshot(obs::kMainOrigin);
-  cells.insert(cells.end(), main_cells.begin(), main_cells.end());
-  return obs::merge_lineage(cells, cfg_.num_ranks, dropped);
-}
-
-bool Engine::write_lineage(const std::string& path) const {
-  if (!lineage_enabled()) return false;
-  const std::string text = lineage_snapshot().to_json().dump();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 bool Engine::tracing_enabled() const noexcept { return main_trace_ != nullptr; }

@@ -31,7 +31,6 @@
 #include "core/vertex_program.hpp"
 #include "gen/stream.hpp"
 #include "obs/gauges.hpp"
-#include "obs/lineage.hpp"
 #include "obs/prof.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
@@ -217,22 +216,6 @@ class Engine {
   bool write_trace(const std::string& path,
                    std::vector<obs::TraceTrack> extra_tracks = {}) const;
 
-  /// True when causal lineage tracing is active (config flag set).
-  bool lineage_enabled() const noexcept;
-
-  /// Merge the per-rank lineage tables into global per-cause records:
-  /// visitors spawned/applied, max hop depth, ranks touched, wall-clock
-  /// span from ingest to last descendant, and the witness chain
-  /// approximating each cause's critical path. Callable from any thread
-  /// (relaxed single-writer cells, like metrics_snapshot()); exact at
-  /// quiescence. Empty when lineage is disabled.
-  obs::LineageSnapshot lineage_snapshot() const;
-
-  /// Dump the merged lineage as a remo-lineage-1 JSON file (the input of
-  /// `remo_cli trace-analyze`). Returns false when lineage is disabled or
-  /// the file cannot be written.
-  bool write_lineage(const std::string& path) const;
-
   /// True when hardware-counter profiling is active (config flag set).
   bool prof_enabled() const noexcept;
 
@@ -308,7 +291,6 @@ class Engine {
   friend class VertexContext;
 
   void rank_main(RankId r);
-  void process_visitor(detail::RankRuntime& rt, const Visitor& v);
   void dispatch_visitor(detail::RankRuntime& rt, const Visitor& v);
   void process_topology_add(detail::RankRuntime& rt, const Visitor& v);
   void process_topology_delete(detail::RankRuntime& rt, const Visitor& v);
@@ -390,14 +372,6 @@ class Engine {
   // stops it before joining them.
   obs::ProfBackendKind prof_backend_kind_ = obs::ProfBackendKind::kNoop;
   std::unique_ptr<obs::StackSampler> stack_sampler_;
-
-  // Causal lineage: the main thread's own table (for inject_edge origins —
-  // ranks own theirs). inject_edge may be called from several application
-  // threads, so the sampling counter and sequence are atomics and the
-  // table's claim path is a CAS.
-  std::unique_ptr<obs::LineageTable> main_lineage_;
-  std::atomic<std::uint64_t> main_lineage_seen_{0};
-  std::atomic<std::uint32_t> main_lineage_seq_{1};
 
   std::uint64_t next_trigger_id_ = 1;
 };

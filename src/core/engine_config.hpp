@@ -40,7 +40,7 @@ struct EngineConfig {
   /// producer burning a full scheduler timeslice while the consumer is
   /// descheduled does not spill: at 1024 slots roughly half of all fig6
   /// messages took the mutex path, erasing the lock-free win. Memory is
-  /// ranks^2 rings x capacity x sizeof(Visitor) — ~40 MiB at 8 ranks —
+  /// ranks^2 rings x capacity x sizeof(Visitor) — ~32 MiB at 8 ranks —
   /// which is the intended trade for a thread-backed single-node deploy;
   /// dial down for large rank counts.
   std::size_t mailbox_ring_capacity = 16384;

@@ -15,7 +15,6 @@
 #include "gen/stream.hpp"
 #include "obs/gauges.hpp"
 #include "obs/histogram.hpp"
-#include "obs/lineage.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
@@ -83,18 +82,6 @@ struct RankRuntime {
   std::uint64_t obs_topo_seen = 0;
   std::uint64_t obs_control_ns = 0;  // scratch: snapshot-drain time in batch
 
-  // Causal lineage (obs/lineage.hpp). The table is single-writer (this
-  // rank); `cur_cause`/`cur_hop` are the processing context set around
-  // process_visitor so that send() can stamp derived visitors without any
-  // per-call-site changes. Both are plain fields — only this rank's thread
-  // touches them.
-  std::unique_ptr<obs::LineageTable> lineage;  // null unless lineage enabled
-  std::uint64_t lineage_sample_mask = 0;  // sample every (mask+1)-th topo event
-  std::uint64_t lineage_topo_seen = 0;
-  std::uint32_t lineage_next_seq = 1;  // 24-bit, wraps past 0
-  obs::CauseId cur_cause = 0;
-  std::uint16_t cur_hop = 0;
-
   // Ingestion stream assignment. A rank may own several concurrent streams
   // (stream i of a StreamSet goes to rank i mod P); it pulls them
   // round-robin, preserving each stream's internal FIFO order. `streams`
@@ -154,12 +141,8 @@ struct RankRuntime {
 
   explicit RankRuntime(StoreConfig store_cfg) : store(store_cfg) {}
 
-  /// Route a visitor to the owner of its target vertex. Taken by value:
-  /// when lineage tracing is on, visitors emitted while a caused visitor
-  /// is being processed inherit its cause and hop+1 here, so every
-  /// emission path (program updates, reverse-adds, invalidations, probes)
-  /// is covered without touching the call sites.
-  void send(Visitor v) {
+  /// Route a visitor to the owner of its target vertex.
+  void send(const Visitor& v) {
     if (drop_nth_update != 0 && v.kind == VisitKind::kUpdate &&
         ++update_drop_seq % drop_nth_update == 0) {
       // Injected message loss: the visitor vanishes before it is counted
@@ -168,19 +151,10 @@ struct RankRuntime {
       return;
     }
     const RankId to = part->owner(v.target);
-    if (lineage && v.kind != VisitKind::kControl && v.cause == 0 &&
-        cur_cause != 0) {
-      v.cause = cur_cause;
-      // Saturate: a >65k-hop cascade keeps reporting the max depth
-      // rather than wrapping back to the root.
-      v.hop = cur_hop == 0xFFFF ? cur_hop
-                                : static_cast<std::uint16_t>(cur_hop + 1);
-    }
     if (comm->send(rank, to, v)) {
       // Coalesced into an already-buffered visitor: no new message exists,
-      // so neither the in-flight counters, Safra's balance, messages_sent,
-      // nor the lineage spawn log may see it (the surviving visitor's
-      // record covers the cascade edge).
+      // so neither the in-flight counters, Safra's balance, nor
+      // messages_sent may see it.
       ++metrics.coalesced_sends;
       return;
     }
@@ -189,8 +163,6 @@ struct RankRuntime {
       ++metrics.remote_messages;
     else
       ++metrics.local_messages;
-    if (lineage && v.kind != VisitKind::kControl && v.cause != 0)
-      lineage->record_spawn(v.cause, v.hop, to != rank);
     if (v.kind != VisitKind::kControl) safra->on_basic_send(rank);
   }
 

@@ -195,30 +195,6 @@ void Engine::process_topology_delete(detail::RankRuntime& rt, const Visitor& v) 
 // Main dispatch
 // ---------------------------------------------------------------------------
 
-// Lineage wrapper: processing a caused visitor opens a cause context (so
-// rt.send stamps every derived emission), records the application in the
-// rank's lineage table, and — when tracing — emits a "cause" slice carrying
-// a chrome-trace flow record so the cross-rank cascade is visually linked.
-void Engine::process_visitor(detail::RankRuntime& rt, const Visitor& v) {
-  if (rt.lineage && v.cause != 0) {
-    rt.cur_cause = v.cause;
-    rt.cur_hop = v.hop;
-    const std::uint64_t t0 = obs_now();
-    dispatch_visitor(rt, v);
-    const std::uint64_t t1 = obs_now();
-    rt.cur_cause = 0;
-    rt.cur_hop = 0;
-    rt.lineage->record_apply(v.cause, v.hop, v.target, t1);
-    if (rt.trace)
-      rt.trace->emit_flow(
-          "cause", t0, t1 - t0, v.cause,
-          v.hop == 0 ? obs::FlowPhase::kStart : obs::FlowPhase::kStep, "cause",
-          v.cause);
-    return;
-  }
-  dispatch_visitor(rt, v);
-}
-
 void Engine::dispatch_visitor(detail::RankRuntime& rt, const Visitor& v) {
   switch (v.kind) {
     case VisitKind::kAdd:
@@ -582,11 +558,11 @@ void Engine::rank_main(RankId r) {
         (v.kind == VisitKind::kAdd || v.kind == VisitKind::kDelete) &&
         (rt.obs_topo_seen++ & rt.obs_sample_mask) == 0) {
       const std::uint64_t t0 = obs::monotonic_ns();
-      process_visitor(rt, v);
+      dispatch_visitor(rt, v);
       rt.update_latency.record(obs::monotonic_ns() - t0);
       return;
     }
-    process_visitor(rt, v);
+    dispatch_visitor(rt, v);
   };
 
   // Receiver-side coalescing: merge later same-(program, target, sender,
@@ -745,20 +721,9 @@ void Engine::rank_main(RankId r) {
         // docs/TESTING.md "The bug hunt").
         VertexId fwd_src = e.src, fwd_dst = e.dst;
         if (cfg_.undirected && fwd_dst < fwd_src) std::swap(fwd_src, fwd_dst);
-        Visitor vis{fwd_src, fwd_dst, 0, e.weight,
-                    e.op == EdgeOp::kAdd ? VisitKind::kAdd : VisitKind::kDelete,
-                    Visitor::kTopologyAlgo, iter_epoch};
-        // Lineage sampling at the origin: every (mask+1)-th pulled event
-        // becomes a traced cause. Self-loops are skipped — they spawn no
-        // propagation, so a sampled self-loop would only pollute the
-        // amplification percentiles with structural zeros.
-        if (rt.lineage && e.src != e.dst &&
-            (rt.lineage_topo_seen++ & rt.lineage_sample_mask) == 0) {
-          vis.cause = obs::make_cause(r, rt.lineage_next_seq);
-          rt.lineage_next_seq = (rt.lineage_next_seq + 1) & obs::kCauseSeqMask;
-          if (rt.lineage_next_seq == 0) rt.lineage_next_seq = 1;
-          rt.lineage->record_origin(vis.cause, obs_now());
-        }
+        const Visitor vis{fwd_src, fwd_dst, 0, e.weight,
+                          e.op == EdgeOp::kAdd ? VisitKind::kAdd : VisitKind::kDelete,
+                          Visitor::kTopologyAlgo, iter_epoch};
         did_work = true;
         if (part_.owner(vis.target) == r) {
           comm_.note_injected(iter_epoch, r);

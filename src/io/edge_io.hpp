@@ -12,11 +12,13 @@
 
 namespace remo {
 
-/// Write/read the text format. Throws std::runtime_error on I/O failure.
+/// Write/read the text format. Throws std::runtime_error on I/O failure
+/// or a malformed line.
 void write_edges_text(const std::string& path, const EdgeList& edges);
 EdgeList read_edges_text(const std::string& path);
 
-/// Write/read the packed binary format.
+/// Write/read the packed binary format. Throws std::runtime_error on I/O
+/// failure or a file that ends inside a record.
 void write_edges_binary(const std::string& path, const EdgeList& edges);
 EdgeList read_edges_binary(const std::string& path);
 

@@ -43,23 +43,6 @@ struct ObsConfig {
   /// overwritten; the export records how many were dropped.
   std::size_t trace_capacity = std::size_t{1} << 16;
 
-  /// Causal lineage tracing (obs/lineage.hpp): stamp sampled topology
-  /// events with a CauseId and account the full derived cascade (visitors,
-  /// depth, ranks, wall-clock span) per cause. Off by default; when on,
-  /// the hot path pays a counter+mask check per topology event and table
-  /// updates only for sampled causes' cascades.
-  bool lineage = false;
-
-  /// Sample every 2^shift-th topology event into the lineage table. The
-  /// default matches the latency sampler: every 64th event keeps the
-  /// stamping + table work under a few percent of ingest throughput while
-  /// the uniform stride keeps amplification percentiles valid.
-  std::uint32_t lineage_sample_shift = 6;
-
-  /// Per-rank lineage table capacity (causes). Overflow is counted and
-  /// dropped, never blocking the hot path.
-  std::size_t lineage_capacity = std::size_t{1} << 12;
-
   /// Hardware-counter profiling (obs/prof.hpp): per-rank counter groups
   /// read at phase boundaries, attributing cycles / instructions / LLC
   /// misses to ingest / propagate / quiesce / snapshot-drain. Off by

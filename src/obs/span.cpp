@@ -264,11 +264,9 @@ TraceId SpanRecorder::begin_batch(std::uint64_t queued_ns, std::uint64_t now_ns)
     return 0;
   }
   ++batches_sampled_;
-  std::uint32_t seq = next_seq_;
-  next_seq_ = (next_seq_ + 1) & kCauseSeqMask;
-  if (next_seq_ == 0) next_seq_ = 1;
   WriteSpan span;
-  span.id = make_cause(kSpanOrigin, seq);
+  span.id = next_seq_++;
+  if (next_seq_ == 0) next_seq_ = 1;
   span.queued_ns = std::min(queued_ns, now_ns);
   span.begin_ns = now_ns;
   span.stage_ns[static_cast<std::size_t>(WriteStage::kQueue)] =

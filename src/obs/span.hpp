@@ -1,8 +1,7 @@
 // Write-path spans: request-level tracing from submission to readability.
 //
-// Every batch the serving plane's WriteGate admits gets a TraceId (the
-// CauseId [origin:8][sequence:24] layout with a reserved origin, so span
-// ids never collide with lineage causes) and a SpanRecorder entry that
+// Every batch the serving plane's WriteGate admits gets a TraceId (a
+// nonzero batch sequence number) and a SpanRecorder entry that
 // accumulates per-stage durations as the batch moves down the write path:
 //
 //   kQueue      submit() of the batch's oldest event -> pump pickup
@@ -44,18 +43,13 @@
 
 #include "common/json.hpp"
 #include "obs/histogram.hpp"
-#include "obs/lineage.hpp"
 #include "obs/trace.hpp"
 
 namespace remo::obs {
 
-/// Same 32-bit layout as CauseId; origin kSpanOrigin marks write-path
-/// spans. 0 means "unsampled" (begin_batch declined the batch).
-using TraceId = CauseId;
-
-/// Reserved origin byte for span TraceIds (kMainOrigin - 1; rank origins
-/// are rank ids, far below).
-inline constexpr std::uint32_t kSpanOrigin = 0xFE;
+/// A sampled batch's sequence number, starting at 1 and skipping 0 when
+/// it wraps. 0 means "unsampled" (begin_batch declined the batch).
+using TraceId = std::uint32_t;
 
 enum class WriteStage : std::uint8_t {
   kQueue = 0,

@@ -67,7 +67,6 @@ Json MetricsSnapshot::to_json(bool include_per_rank) const {
   j["counters"] = counters_to_json(counters);
   j["update_latency"] = histogram_to_json(update_latency_ns);
   j["phases"] = phases_to_json(phases);
-  if (lineage_enabled) j["lineage"] = lineage.to_json();
   if (prof.enabled) j["prof"] = prof.to_json();
   if (include_per_rank) {
     Json ranks = Json::array();
@@ -129,17 +128,6 @@ std::string MetricsSnapshot::to_text() const {
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     const auto p = static_cast<Phase>(i);
     out += strfmt("  %-15s %s\n", phase_name(p), ns_human(phases[p]).c_str());
-  }
-  if (lineage_enabled) {
-    out += strfmt(
-        "lineage (%s causes sampled, %s dropped):\n",
-        with_commas(lineage.sampled).c_str(), with_commas(lineage.dropped).c_str());
-    out += strfmt(
-        "  visitors/update p50 %s p99 %s   depth p50 %u p99 %u   cross-rank "
-        "ratio %.3f\n",
-        with_commas(lineage.visitors_p50).c_str(),
-        with_commas(lineage.visitors_p99).c_str(), lineage.depth_p50,
-        lineage.depth_p99, lineage.cross_rank_ratio);
   }
   if (prof.enabled) {
     const RankProfSnapshot t = prof.totals();

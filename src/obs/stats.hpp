@@ -12,7 +12,6 @@
 
 #include "common/json.hpp"
 #include "obs/histogram.hpp"
-#include "obs/lineage.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/prof.hpp"
 #include "runtime/metrics.hpp"
@@ -30,9 +29,7 @@ struct MetricsSnapshot {
   HistogramSnapshot update_latency_ns;  ///< merged across ranks
   PhaseSnapshot phases;                 ///< summed across ranks
   std::vector<RankObs> per_rank;
-  bool lineage_enabled = false;
-  LineageSummary lineage;  ///< work-amplification aggregates (when enabled)
-  ProfSnapshot prof;       ///< hardware-counter attribution (prof.enabled)
+  ProfSnapshot prof;  ///< hardware-counter attribution (prof.enabled)
 
   /// Latency percentiles + counters + phases as a JSON object
   /// (schema "remo-stats-1"; see docs/OBSERVABILITY.md).

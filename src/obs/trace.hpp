@@ -34,11 +34,11 @@ inline constexpr bool kTraceCompiledIn = true;
 #endif
 
 /// Flow linkage of a slice: chrome-trace flow events ("s"/"t"/"f") connect
-/// slices across tracks so a caused cascade is visually traceable.
+/// slices across tracks so one request's stages are visually traceable.
 enum class FlowPhase : std::uint8_t {
   kNone = 0,   ///< plain slice, no flow record
-  kStart = 1,  ///< "s" — the root of a flow (e.g. a cause's hop-0 apply)
-  kStep = 2,   ///< "t" — a continuation on any rank
+  kStart = 1,  ///< "s" — the root of a flow (e.g. a write span's queue stage)
+  kStep = 2,   ///< "t" — a continuation on any track
   kEnd = 3,    ///< "f" — an explicit terminator
 };
 

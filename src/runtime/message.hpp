@@ -50,12 +50,11 @@ struct Visitor {
   VisitKind kind = VisitKind::kUpdate;
   std::uint8_t algo = kTopologyAlgo;  ///< destination program slot
   std::uint16_t epoch = 0;            ///< snapshot epoch tag (Section III-D)
-  std::uint32_t cause = 0;  ///< lineage CauseId; 0 = untraced (obs/lineage.hpp)
-  std::uint16_t hop = 0;    ///< hops from the root topology event
 
   static constexpr std::uint8_t kTopologyAlgo = 0xFF;
 };
 
-static_assert(sizeof(Visitor) <= 40, "visitors should stay compact");
+static_assert(sizeof(Visitor) == 32, "a visitor is four words: every byte "
+                                     "is moved on every message");
 
 }  // namespace remo

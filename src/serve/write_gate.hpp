@@ -7,8 +7,7 @@
 // wave, per-key order preserved across waves), and injects each wave's
 // events into the engine concurrently — Engine::inject_edge is
 // multi-thread-safe and the in-flight accounting counts an injection
-// before it becomes visible, so quiescence detection and lineage stamping
-// stay exact. A barrier between waves plus the engine's FIFO per-rank
+// before it becomes visible, so quiescence detection stays exact. A barrier between waves plus the engine's FIFO per-rank
 // admission queue keeps every unordered pair's history serialised, which
 // is the exact precondition of the engine's determinism contract; the
 // result is observationally equivalent to serial in-order injection.

@@ -61,6 +61,22 @@ TEST(EdgeIo, MalformedLineThrows) {
   std::remove(path.c_str());
 }
 
+TEST(EdgeIo, BinaryTrailingPartialRecordThrows) {
+  const std::string path = temp_path("edges_truncated.bin");
+  write_edges_binary(path, {{1, 2, 3}, {4, 5, 6}});  // two 20-byte records
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fwrite("partial", 1, 7, f);
+  std::fclose(f);
+  try {
+    read_edges_binary(path);
+    ADD_FAILURE() << "a file ending inside a record must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(EdgeIo, EmptyListRoundTrips) {
   const std::string path = temp_path("edges_empty.bin");
   write_edges_binary(path, {});

@@ -334,8 +334,11 @@ TEST(StallWatchdog, FlagsRankAfterExactlyStallPeriodsAndRecovers) {
   EXPECT_FALSE(dog.rank_flagged(0));
   EXPECT_FALSE(dog.rank_flagged(2));
 
-  // Unwedge rank 1: the next sample shows progress -> recovery report.
-  script->set(1, 2, 50);
+  // Unwedge rank 1: the next sample shows progress -> recovery report. The
+  // queue drains too: a backlog with `applied` frozen at 50 would be a new
+  // stall, flagged again 3 periods later if this thread were descheduled
+  // that long before the checks below.
+  script->set(1, 0, 50);
   const StallWatchdog::Report second = log.wait_for_report(1);
   EXPECT_EQ(second.rank, 1u);
   EXPECT_TRUE(second.recovered);

@@ -231,7 +231,7 @@ TEST(ProfSnapshot, JsonRoundTrip) {
 
 TEST(ProfSnapshot, FromJsonRejectsWrongSchema) {
   Json doc = Json::object();
-  doc["schema"] = "remo-lineage-1";
+  doc["schema"] = "remo-spans-1";
   ProfSnapshot out;
   std::string error;
   EXPECT_FALSE(ProfSnapshot::from_json(doc, out, &error));

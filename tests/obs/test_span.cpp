@@ -19,36 +19,36 @@ namespace {
 TEST(ExemplarHistogram, BucketKeepsLargestSampleAsExemplar) {
   ExemplarHistogram h;
   // Same log bucket (values this close share one), different traces.
-  h.record(1000, make_cause(kSpanOrigin, 1));
-  h.record(1010, make_cause(kSpanOrigin, 2));
-  h.record(1005, make_cause(kSpanOrigin, 3));
+  h.record(1000, TraceId{1});
+  h.record(1010, TraceId{2});
+  h.record(1005, TraceId{3});
   const ExemplarHistogramSnapshot snap = h.snapshot();
   ASSERT_EQ(snap.exemplars.size(), 1u);
-  EXPECT_EQ(snap.exemplars[0].trace, make_cause(kSpanOrigin, 2));
+  EXPECT_EQ(snap.exemplars[0].trace, TraceId{2});
   EXPECT_EQ(snap.exemplars[0].value_ns, 1010u);
   EXPECT_EQ(snap.hist.count, 3u);
 }
 
 TEST(ExemplarHistogram, TieKeepsEarliestTrace) {
   ExemplarHistogram h;
-  h.record(500, make_cause(kSpanOrigin, 7));
-  h.record(500, make_cause(kSpanOrigin, 8));
+  h.record(500, TraceId{7});
+  h.record(500, TraceId{8});
   const ExemplarHistogramSnapshot snap = h.snapshot();
   ASSERT_EQ(snap.exemplars.size(), 1u);
-  EXPECT_EQ(snap.exemplars[0].trace, make_cause(kSpanOrigin, 7));
+  EXPECT_EQ(snap.exemplars[0].trace, TraceId{7});
 }
 
 TEST(ExemplarHistogram, AtOrAboveSelectsTailBuckets) {
   ExemplarHistogram h;
-  h.record(100, make_cause(kSpanOrigin, 1));
-  h.record(10'000, make_cause(kSpanOrigin, 2));
-  h.record(1'000'000, make_cause(kSpanOrigin, 3));
+  h.record(100, TraceId{1});
+  h.record(10'000, TraceId{2});
+  h.record(1'000'000, TraceId{3});
   const ExemplarHistogramSnapshot snap = h.snapshot();
   ASSERT_EQ(snap.exemplars.size(), 3u);
   const auto tail = snap.at_or_above(10'000);
   ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].trace, make_cause(kSpanOrigin, 2));
-  EXPECT_EQ(tail[1].trace, make_cause(kSpanOrigin, 3));
+  EXPECT_EQ(tail[0].trace, TraceId{2});
+  EXPECT_EQ(tail[1].trace, TraceId{3});
   // A threshold above everything selects nothing.
   EXPECT_TRUE(snap.at_or_above(std::uint64_t{1} << 62).empty());
 }
@@ -57,7 +57,7 @@ TEST(ExemplarHistogram, PercentileMatchesPlainHistogram) {
   ExemplarHistogram h;
   LatencyHistogram plain;
   for (std::uint64_t v = 1; v <= 1000; ++v) {
-    h.record(v * 37, make_cause(kSpanOrigin, static_cast<std::uint32_t>(v)));
+    h.record(v * 37, static_cast<TraceId>(v));
     plain.record(v * 37);
   }
   EXPECT_EQ(h.percentile(50.0), plain.snapshot().p50());
@@ -67,8 +67,8 @@ TEST(ExemplarHistogram, PercentileMatchesPlainHistogram) {
 
 TEST(ExemplarHistogram, JsonRoundTrip) {
   ExemplarHistogram h;
-  h.record(123, make_cause(kSpanOrigin, 1));
-  h.record(456'789, make_cause(kSpanOrigin, 2));
+  h.record(123, TraceId{1});
+  h.record(456'789, TraceId{2});
   const ExemplarHistogramSnapshot snap = h.snapshot();
   std::string error;
   ExemplarHistogramSnapshot back;
@@ -95,7 +95,6 @@ TEST(SpanRecorder, FullLifecycleRecordsEveryStage) {
   // queued at 100, picked up at 150 -> kQueue = 50.
   const TraceId id = rec.begin_batch(100, 150);
   ASSERT_NE(id, 0u);
-  EXPECT_EQ(cause_origin(id), kSpanOrigin);
   rec.stage(id, WriteStage::kPartition, 10);
   rec.stage(id, WriteStage::kDispatch, 20);
   rec.stage(id, WriteStage::kInject, 30);
@@ -225,12 +224,13 @@ TEST(SpanRecorder, HistoryRingEvictsOldestCompleted) {
 }
 
 TEST(SpanRecorder, TraceIdsAreUniqueAndSpanOriginated) {
+  // Every id comes from the recorder's own batch sequence: nonzero (0 means
+  // "unsampled") and never repeated.
   SpanRecorder rec;
   std::vector<TraceId> ids;
   for (int i = 0; i < 100; ++i) {
     const TraceId id = rec.begin_batch(0, static_cast<std::uint64_t>(i));
     ASSERT_NE(id, 0u);
-    EXPECT_EQ(cause_origin(id), kSpanOrigin);
     for (const TraceId prev : ids) EXPECT_NE(id, prev);
     ids.push_back(id);
   }
@@ -272,7 +272,7 @@ TEST(SpanRecorder, SnapshotJsonRoundTrip) {
 
 TEST(SpanRecorder, FromJsonRejectsWrongSchema) {
   Json doc = Json::object();
-  doc["schema"] = std::string("remo-lineage-1");
+  doc["schema"] = std::string("remo-prof-1");
   SpanSnapshot out;
   std::string error;
   EXPECT_FALSE(SpanSnapshot::from_json(doc, out, &error));

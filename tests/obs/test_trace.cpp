@@ -207,10 +207,10 @@ TEST(TraceWriter, FailsOnUnwritablePath) {
 }
 
 TEST(TraceWriter, FlowContinuationsNeverOrphanedAfterWraparound) {
-  // A cause's flow-begin lives on the ingesting rank's ring while its
-  // continuations land on other ranks' rings; wraparound can overwrite the
-  // begin while continuations survive. The export must never emit a flow
-  // step/end ("t"/"f") whose begin ("s") is gone — viewers render those as
+  // A flow's begin can live on one track's ring while its continuations
+  // land on other rings; wraparound can overwrite the begin while
+  // continuations survive. The export must never emit a flow step/end
+  // ("t"/"f") whose begin ("s") is gone — viewers render those as
   // dangling arrows. Build exactly that shape: a tiny begin ring that
   // forgets most starts, a roomy ring that remembers every continuation.
   TraceBuffer begins(4), conts(64);

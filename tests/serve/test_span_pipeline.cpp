@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -78,8 +79,10 @@ TEST(SpanPipeline, ConcurrentSubmittersEverySpanCloses) {
   EXPECT_EQ(snap.freshness.hist.count, snap.completed);
 
   const std::uint64_t final_wm = engine.ingested_watermark();
+  std::set<obs::TraceId> ids;
   for (const obs::WriteSpan& s : snap.spans) {
-    EXPECT_EQ(obs::cause_origin(s.id), obs::kSpanOrigin);
+    EXPECT_NE(s.id, 0u);
+    EXPECT_TRUE(ids.insert(s.id).second) << "duplicate trace id " << s.id;
     // Milestones monotone; stage durations consistent with them.
     EXPECT_LE(s.queued_ns, s.begin_ns);
     EXPECT_LE(s.begin_ns, s.admitted_ns);

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -79,7 +80,6 @@ int usage() {
                "                [--batch-size N] [--no-coalesce]\n"
                "                [--stats] [--stats-json FILE] [--trace FILE]\n"
                "                [--latency-sample SHIFT]\n"
-               "                [--lineage] [--lineage-out FILE] [--lineage-sample SHIFT]\n"
                "                [--watch] [--metrics-out FILE] [--metrics-period MS]\n"
                "                [--metrics-format jsonl|prom] [--watchdog]\n"
                "                [--prof] [--prof-out FILE] [--prof-shift N]\n"
@@ -96,7 +96,6 @@ int usage() {
                "                [--prof] [--prof-out FILE] [--prof-shift N]\n"
                "                [--prof-backend auto|perf|perf_event|rusage|noop|none]\n"
                "                [--folded FILE] [--prof-period-us US]\n"
-               "  remo trace-analyze --lineage FILE [--top K] [--min-descendants N]\n"
                "  remo trace-analyze --spans FILE [--tail] [--tail-pct P]\n"
                "                     [--require-complete]\n"
                "  remo trace-analyze --prof FILE [--spans FILE]\n"
@@ -151,16 +150,6 @@ int usage() {
                "  --stats-json FILE  write the same as JSON (schema remo-stats-1)\n"
                "  --trace FILE       capture a chrome://tracing / Perfetto trace\n"
                "  --latency-sample N time every 2^N-th update (default 6; 0 = all)\n"
-               "\n"
-               "causal lineage (docs/OBSERVABILITY.md \"Causal lineage\"):\n"
-               "  --lineage          trace sampled updates' propagation cascades\n"
-               "  --lineage-out FILE write the merged lineage (remo-lineage-1 JSON;\n"
-               "                     implies --lineage)\n"
-               "  --lineage-sample N stamp every 2^N-th topology event (default 6)\n"
-               "  trace-analyze      read a lineage dump; print amplification stats\n"
-               "                     and the top-K most expensive updates with their\n"
-               "                     critical paths; exit 1 when any sampled cause\n"
-               "                     spawned fewer than --min-descendants visitors\n"
                "\n"
                "write-path spans (docs/OBSERVABILITY.md \"Write-path spans\"):\n"
                "  trace-analyze --spans FILE\n"
@@ -347,10 +336,6 @@ int cmd_ingest(const Args& a) {
   cfg.obs.trace = !trace_path.empty();
   cfg.obs.latency_sample_shift = static_cast<std::uint32_t>(
       a.num("latency-sample", cfg.obs.latency_sample_shift));
-  const std::string lineage_out = a.str("lineage-out");
-  cfg.obs.lineage = a.flag("lineage") || !lineage_out.empty();
-  cfg.obs.lineage_sample_shift = static_cast<std::uint32_t>(
-      a.num("lineage-sample", cfg.obs.lineage_sample_shift));
   apply_prof_args(a, cfg);
   Engine engine(cfg);
 
@@ -520,25 +505,6 @@ int cmd_ingest(const Args& a) {
     } else {
       std::fprintf(stderr, "failed to write trace to %s\n", trace_path.c_str());
       return 1;
-    }
-  }
-  if (cfg.obs.lineage) {
-    const obs::LineageSummary ls = engine.lineage_snapshot().summary();
-    std::printf(
-        "lineage: %s causes sampled — visitors/update p50 %s p99 %s, depth "
-        "p50 %u p99 %u, cross-rank ratio %.3f\n",
-        with_commas(ls.sampled).c_str(), with_commas(ls.visitors_p50).c_str(),
-        with_commas(ls.visitors_p99).c_str(), ls.depth_p50, ls.depth_p99,
-        ls.cross_rank_ratio);
-    if (!lineage_out.empty()) {
-      if (!engine.write_lineage(lineage_out)) {
-        std::fprintf(stderr, "failed to write lineage to %s\n",
-                     lineage_out.c_str());
-        return 1;
-      }
-      std::printf("lineage written to %s (analyze with `remo trace-analyze "
-                  "--lineage %s`)\n",
-                  lineage_out.c_str(), lineage_out.c_str());
     }
   }
   if (const int rc = report_prof(a, engine); rc != 0) return rc;
@@ -940,37 +906,7 @@ int cmd_trace_analyze(const Args& a) {
     return analyze_prof(a, prof_path);
   if (const std::string spans_path = a.str("spans"); !spans_path.empty())
     return analyze_spans(a, spans_path);
-  const std::string path = a.str("lineage");
-  if (path.empty()) return usage();
-  Json doc;
-  if (!load_json_file(path, doc)) return 1;
-  std::string error;
-  obs::LineageSnapshot snap;
-  if (!obs::LineageSnapshot::from_json(doc, snap, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-
-  const std::size_t top_k = a.num("top", 10);
-  std::fputs(obs::analyze_lineage(snap, top_k).c_str(), stdout);
-
-  // CI gate: a sampled cause whose cascade spawned fewer visitors than
-  // expected means lineage threading went missing somewhere.
-  if (const std::uint64_t min_desc = a.num("min-descendants", 0); min_desc > 0) {
-    const auto bad = obs::causes_below_descendants(snap, min_desc);
-    if (!bad.empty()) {
-      std::fprintf(stderr,
-                   "%zu sampled cause(s) spawned fewer than %llu visitors:",
-                   bad.size(), static_cast<unsigned long long>(min_desc));
-      for (std::size_t i = 0; i < bad.size() && i < 16; ++i)
-        std::fprintf(stderr, " %u", bad[i]);
-      std::fprintf(stderr, "\n");
-      return 1;
-    }
-    std::printf("all %zu sampled causes spawned >= %llu visitor(s)\n",
-                snap.records.size(), static_cast<unsigned long long>(min_desc));
-  }
-  return 0;
+  return usage();
 }
 
 // --- Bench regression gate (docs/OBSERVABILITY.md "Profiling") -------------
@@ -1163,13 +1099,19 @@ int cmd_fuzz_repro(const Args& a) {
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
-  if (a.command == "generate") return cmd_generate(a);
-  if (a.command == "stats") return cmd_stats(a);
-  if (a.command == "ingest") return cmd_ingest(a);
-  if (a.command == "serve") return cmd_serve(a);
-  if (a.command == "trace-analyze") return cmd_trace_analyze(a);
-  if (a.command == "bench-compare") return cmd_bench_compare(argc, argv);
-  if (a.command == "fuzz") return cmd_fuzz(a);
-  if (a.command == "fuzz-repro") return cmd_fuzz_repro(a);
+  // Bad input files (src/io) throw; report them instead of aborting.
+  try {
+    if (a.command == "generate") return cmd_generate(a);
+    if (a.command == "stats") return cmd_stats(a);
+    if (a.command == "ingest") return cmd_ingest(a);
+    if (a.command == "serve") return cmd_serve(a);
+    if (a.command == "trace-analyze") return cmd_trace_analyze(a);
+    if (a.command == "bench-compare") return cmd_bench_compare(argc, argv);
+    if (a.command == "fuzz") return cmd_fuzz(a);
+    if (a.command == "fuzz-repro") return cmd_fuzz_repro(a);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "remo: %s\n", e.what());
+    return 2;
+  }
   return usage();
 }
