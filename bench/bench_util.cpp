@@ -67,18 +67,6 @@ BenchReport::BenchReport(std::string name, std::string title)
   doc_["repeats"] = repeats_from_env();
   Json config = comm_config_json();
   config["build"] = build_info_json();
-  {
-    // Record the observability knobs the environment resolved to, so A/B
-    // evidence (prof on vs off) is self-describing and
-    // bench-compare can refuse apples-to-oranges comparisons.
-    EngineConfig cfg;
-    apply_obs_env(cfg);
-    Json obs = Json::object();
-    obs["prof"] = cfg.obs.prof;
-    obs["prof_backend"] = obs::prof_backend_name(cfg.obs.prof_backend);
-    obs["prof_sample_shift"] = static_cast<std::uint64_t>(cfg.obs.prof_sample_shift);
-    config["obs"] = obs;
-  }
   doc_["config"] = std::move(config);
   doc_["runs"] = Json::array();
 }
@@ -91,10 +79,9 @@ std::string BenchReport::path() const {
 
 bool BenchReport::write() const {
   const std::string out = path();
-  // Process-level resource accounting rides along in every report — the
-  // always-available fallback tier of the counter stack (max RSS, context
-  // switches, faults) needs no perf_event access. Stamped at write time so
-  // it covers the whole harness run.
+  // Process-level resource accounting (max RSS, context switches, faults)
+  // rides along in every report. Stamped at write time so it covers the
+  // whole harness run.
   Json doc = doc_;
   doc["rusage"] = obs::proc_rusage_json(obs::read_proc_rusage());
   if (const auto dir = std::filesystem::path(out).parent_path(); !dir.empty()) {
@@ -129,31 +116,10 @@ Json engine_obs_json(const Engine& engine) {
   const obs::MetricsSnapshot snap = engine.metrics_snapshot();
   const Json full = snap.to_json(/*include_per_rank=*/false);
   Json out = Json::object();
-  for (const char* key : {"counters", "update_latency", "phases", "prof"})
+  for (const char* key : {"counters", "update_latency", "phases"})
     if (const Json* sec = full.find(key)) out[key] = *sec;
   out["gauges"] = engine.sample_gauges().to_json(/*include_per_rank=*/false);
   return out;
-}
-
-void apply_obs_env(EngineConfig& cfg) {
-  if (const char* on = std::getenv("REMO_OBS_PROF"); on && *on && *on != '0')
-    cfg.obs.prof = true;
-  if (const char* s = std::getenv("REMO_OBS_PROF_SHIFT")) {
-    const int shift = std::atoi(s);
-    if (shift >= 0 && shift <= 31)
-      cfg.obs.prof_sample_shift = static_cast<std::uint32_t>(shift);
-  }
-  if (const char* b = std::getenv("REMO_OBS_PROF_BACKEND")) {
-    const std::string name = b;
-    if (name == "perf" || name == "perf_event")
-      cfg.obs.prof_backend = obs::ProfBackendKind::kPerfEvent;
-    else if (name == "rusage")
-      cfg.obs.prof_backend = obs::ProfBackendKind::kRusage;
-    else if (name == "noop" || name == "none")
-      cfg.obs.prof_backend = obs::ProfBackendKind::kNoop;
-    else if (name == "auto")
-      cfg.obs.prof_backend = obs::ProfBackendKind::kAuto;
-  }
 }
 
 void apply_comm_env(EngineConfig& cfg) {

@@ -56,14 +56,6 @@ Json run_row(const std::string& dataset, RankId ranks, std::uint64_t events,
 /// asserts this).
 Json engine_obs_json(const Engine& engine);
 
-/// Apply observability env knobs to an engine config (the prof-overhead
-/// A/B knobs and CI's prof-smoke job):
-///   REMO_OBS_PROF           "1" enables hardware-counter profiling
-///   REMO_OBS_PROF_SHIFT     counter-read stride shift (every 2^shift-th
-///                           phase boundary read; default ObsConfig's 4)
-///   REMO_OBS_PROF_BACKEND   "auto" (default) | "perf" | "rusage" | "noop"
-void apply_obs_env(EngineConfig& cfg);
-
 /// Apply the comm hot-path env knobs (the coalescing/mailbox A/B sweeps):
 ///   REMO_BATCH_SIZE     per-destination send-buffer batch size
 ///   REMO_NO_COALESCE    "1" disables monotonic visitor coalescing
@@ -117,7 +109,6 @@ SaturationResult measure_saturation(const EdgeList& edges, RankId ranks, int rep
     EngineConfig cfg;
     cfg.num_ranks = ranks;
     cfg.undirected = undirected;
-    apply_obs_env(cfg);
     apply_comm_env(cfg);
     Engine engine(cfg);
     setup(engine);

@@ -58,9 +58,7 @@ int main() {
       (void)levels;
     }
     {  // (b) dynamic construction, then static BFS over the dynamic store
-      EngineConfig cfg{.num_ranks = ranks};
-      apply_obs_env(cfg);
-      Engine engine(cfg);
+      Engine engine(EngineConfig{.num_ranks = ranks});
       const auto exporter = exporter_from_env(engine);
       Timer t;
       const IngestStats st = engine.ingest(make_streams(
@@ -74,9 +72,7 @@ int main() {
       if (rep == repeats - 1) b_obs = engine_obs_json(engine);
     }
     {  // (c) dynamic construction overlapped with dynamic BFS
-      EngineConfig cfg{.num_ranks = ranks};
-      apply_obs_env(cfg);
-      Engine engine(cfg);
+      Engine engine(EngineConfig{.num_ranks = ranks});
       const auto exporter = exporter_from_env(engine);
       auto [id, bfs] = engine.attach_make<DynamicBfs>(source);
       engine.inject_init(id, source);

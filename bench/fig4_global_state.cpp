@@ -32,7 +32,6 @@ int main() {
   const VertexId source = edges.front().src;
 
   EngineConfig cfg{.num_ranks = ranks};
-  apply_obs_env(cfg);
   apply_comm_env(cfg);
   Engine engine(cfg);
   auto [id, bfs] = engine.attach_make<DynamicBfs>(source);

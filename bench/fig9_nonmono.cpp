@@ -196,7 +196,6 @@ int main() {
     for (int rep = 0; rep < repeats; ++rep) {
       EngineConfig cfg;
       cfg.num_ranks = ranks;
-      apply_obs_env(cfg);
       apply_comm_env(cfg);
       Engine engine(cfg);
       const ProgramId id = attach(engine);

@@ -22,7 +22,7 @@
 #include "obs/histogram.hpp"
 #include "obs/obs_config.hpp"
 #include "obs/phase_timer.hpp"
-#include "obs/prof.hpp"
+#include "obs/stacks.hpp"
 #include "obs/span.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"

@@ -184,7 +184,7 @@ namespace {
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
-  std::string error;
+  std::string error{};
 
   bool fail(const std::string& msg) {
     if (error.empty()) {

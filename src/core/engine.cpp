@@ -161,15 +161,9 @@ Engine::Engine(EngineConfig cfg)
   trace_base_ns_ = obs::monotonic_ns();
   const bool tracing = cfg_.obs.trace && obs::kTraceCompiledIn;
   if (tracing) main_trace_ = std::make_unique<obs::TraceBuffer>(cfg_.obs.trace_capacity);
-  if (cfg_.obs.prof) {
-    // Resolve once (the perf_event probe costs a syscall) and give every
-    // rank its own backend instance: counter fds are per-thread.
-    prof_backend_kind_ = obs::resolve_prof_backend(cfg_.obs.prof_backend);
-    if (cfg_.obs.prof_stacks && obs::StackSampler::supported()) {
-      stack_sampler_ = std::make_unique<obs::StackSampler>(
-          obs::StackSamplerConfig{cfg_.obs.prof_stack_period_us, 48});
-      stack_sampler_->start();
-    }
+  if (cfg_.obs.stacks && obs::StackSampler::supported()) {
+    stack_sampler_ = std::make_unique<obs::StackSampler>();
+    stack_sampler_->start();
   }
   ranks_.reserve(cfg_.num_ranks);
   for (RankId r = 0; r < cfg_.num_ranks; ++r) {
@@ -185,10 +179,6 @@ Engine::Engine(EngineConfig cfg)
     rt->obs_sample_mask =
         (std::uint64_t{1} << (cfg_.obs.latency_sample_shift & 63)) - 1;
     if (tracing) rt->trace = std::make_unique<obs::TraceBuffer>(cfg_.obs.trace_capacity);
-    if (cfg_.obs.prof)
-      rt->prof = std::make_unique<obs::RankProfiler>(
-          r, obs::make_counter_backend(prof_backend_kind_),
-          cfg_.obs.prof_sample_shift);
     ranks_.push_back(std::move(rt));
   }
   threads_.reserve(cfg_.num_ranks);
@@ -633,34 +623,7 @@ obs::MetricsSnapshot Engine::metrics_snapshot() const {
     s.per_rank.push_back(std::move(ro));
   }
   s.counters = metrics();  // includes the main thread's control sends
-  if (prof_enabled()) s.prof = prof_snapshot();
   return s;
-}
-
-bool Engine::prof_enabled() const noexcept { return cfg_.obs.prof; }
-
-obs::ProfSnapshot Engine::prof_snapshot() const {
-  obs::ProfSnapshot s;
-  if (!prof_enabled()) return s;
-  s.enabled = true;
-  s.backend = obs::prof_backend_name(prof_backend_kind_);
-  s.degraded = prof_backend_kind_ != obs::ProfBackendKind::kPerfEvent;
-  s.sample_shift = cfg_.obs.prof_sample_shift;
-  s.per_rank.reserve(ranks_.size());
-  for (const auto& rt : ranks_) {
-    s.available |= rt->prof->available();
-    s.per_rank.push_back(rt->prof->snapshot());
-  }
-  return s;
-}
-
-bool Engine::write_prof(const std::string& path) const {
-  if (!prof_enabled()) return false;
-  const std::string text = prof_snapshot().to_json().dump(2);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 bool Engine::write_folded(const std::string& path) {
@@ -789,20 +752,6 @@ obs::GaugeSample Engine::sample_gauges() const {
     s.safra_terminated = safra_.terminated();
   }
 
-  if (prof_enabled()) {
-    s.prof.present = true;
-    s.prof.backend = obs::prof_backend_name(prof_backend_kind_);
-    s.prof.degraded = prof_backend_kind_ != obs::ProfBackendKind::kPerfEvent;
-    for (const auto& rt : ranks_) {
-      const obs::RankProfSnapshot rs = rt->prof->snapshot();
-      for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-        s.prof.phase[i] += rs.phase[i];
-        s.prof.attributed_ns[i] += rs.attributed_ns[i];
-      }
-      s.prof.reads += rs.reads;
-      s.prof.read_failures += rs.read_failures;
-    }
-  }
   return s;
 }
 

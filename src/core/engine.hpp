@@ -31,7 +31,7 @@
 #include "core/vertex_program.hpp"
 #include "gen/stream.hpp"
 #include "obs/gauges.hpp"
-#include "obs/prof.hpp"
+#include "obs/stacks.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
@@ -216,26 +216,12 @@ class Engine {
   bool write_trace(const std::string& path,
                    std::vector<obs::TraceTrack> extra_tracks = {}) const;
 
-  /// True when hardware-counter profiling is active (config flag set).
-  bool prof_enabled() const noexcept;
-
-  /// Per-rank × per-phase hardware-counter attribution (obs/prof.hpp).
-  /// Callable from any thread (relaxed single-writer accumulators, like
-  /// metrics_snapshot()); exact at quiescence. enabled=false when
-  /// profiling is off.
-  obs::ProfSnapshot prof_snapshot() const;
-
-  /// Dump the counter attribution as a remo-prof-1 JSON file (the input of
-  /// `remo_cli trace-analyze --prof`). Returns false when profiling is
-  /// disabled or the file cannot be written.
-  bool write_prof(const std::string& path) const;
-
   /// Stop the on-CPU stack sampler (if running) and write the folded
   /// flamegraph-compatible stacks. Returns false when stack sampling was
   /// not enabled or the file cannot be written.
   bool write_folded(const std::string& path);
 
-  /// The on-CPU stack sampler when prof_stacks is on (null otherwise).
+  /// The on-CPU stack sampler when obs.stacks is on (null otherwise).
   obs::StackSampler* stack_sampler() noexcept { return stack_sampler_.get(); }
 
   /// Topology store of one rank (requires quiescence for consistent reads).
@@ -366,11 +352,8 @@ class Engine {
   std::uint64_t trace_base_ns_ = 0;
   std::unique_ptr<obs::TraceBuffer> main_trace_;
 
-  // Hardware-counter profiling: the backend kind resolved at construction
-  // (per-rank RankProfilers live in RankRuntime) and the optional on-CPU
-  // stack sampler. The sampler signals rank threads, so the destructor
-  // stops it before joining them.
-  obs::ProfBackendKind prof_backend_kind_ = obs::ProfBackendKind::kNoop;
+  // The optional on-CPU stack sampler. It signals rank threads, so the
+  // destructor stops it before joining them.
   std::unique_ptr<obs::StackSampler> stack_sampler_;
 
   std::uint64_t next_trigger_id_ = 1;

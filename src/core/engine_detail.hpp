@@ -16,7 +16,6 @@
 #include "obs/gauges.hpp"
 #include "obs/histogram.hpp"
 #include "obs/phase_timer.hpp"
-#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/metrics.hpp"
@@ -73,9 +72,6 @@ struct RankRuntime {
   obs::LatencyHistogram update_latency;
   obs::PhaseTimers phases;
   std::unique_ptr<obs::TraceBuffer> trace;  // null unless tracing enabled
-  // Hardware-counter profiler (obs/prof.hpp); null unless profiling is on.
-  // Hooks the same phase boundaries as `phases`, single-writer like it.
-  std::unique_ptr<obs::RankProfiler> prof;
   bool obs_latency = false;
   bool obs_phases = false;
   std::uint64_t obs_sample_mask = 0;  // record every (mask+1)-th topo event

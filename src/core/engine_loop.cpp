@@ -533,13 +533,10 @@ void Engine::rank_main(RankId r) {
 
   // Observability switches, hoisted so the hot path pays one branch each.
   obs::TraceBuffer* const trace = rt.trace.get();
-  obs::RankProfiler* const prof = rt.prof.get();
-  const bool obs_time = rt.obs_phases || trace != nullptr || prof != nullptr;
+  const bool obs_time = rt.obs_phases || trace != nullptr;
   const bool obs_latency = rt.obs_latency;
 
-  // Open this rank's counter group on its own thread (fds are per-thread)
-  // and enrol in the on-CPU stack sampler before entering the loop.
-  if (prof) prof->attach();
+  // Enrol in the on-CPU stack sampler before entering the loop.
   if (stack_sampler_)
     stack_sampler_->register_current_thread(strfmt("rank %u", r));
 
@@ -681,10 +678,6 @@ void Engine::rank_main(RankId r) {
         const std::uint64_t control = std::min(dt, rt.obs_control_ns);
         rt.phases.add(obs::Phase::kPropagate, dt - control);
         if (control) rt.phases.add(obs::Phase::kSnapshotDrain, control);
-        if (prof) {
-          prof->on_phase(obs::Phase::kPropagate, dt - control);
-          if (control) prof->on_phase(obs::Phase::kSnapshotDrain, control);
-        }
         if (trace) trace->emit("drain", iter_t0, dt, "events", batch.size());
       }
       continue;
@@ -751,7 +744,6 @@ void Engine::rank_main(RankId r) {
         if (obs_time) {
           const std::uint64_t dt = obs_now() - iter_t0;
           rt.phases.add(obs::Phase::kIngest, dt);
-          if (prof) prof->on_phase(obs::Phase::kIngest, dt);
           if (trace) trace->emit("ingest", iter_t0, dt, "events", pulled);
         }
         continue;
@@ -789,14 +781,8 @@ void Engine::rank_main(RankId r) {
     }
     ++passive_streak;
     rt.gauges.idle.store(false, std::memory_order_relaxed);
-    if (rt.obs_phases || prof) {
-      const std::uint64_t dt = obs_now() - iter_t0;
-      if (rt.obs_phases) rt.phases.add(obs::Phase::kQuiesce, dt);
-      if (prof) prof->on_phase(obs::Phase::kQuiesce, dt);
-    }
+    if (rt.obs_phases) rt.phases.add(obs::Phase::kQuiesce, obs_now() - iter_t0);
   }
-  // Attribute the tail the sampling stride would otherwise drop.
-  if (prof) prof->flush();
 }
 
 }  // namespace remo

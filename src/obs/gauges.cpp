@@ -56,36 +56,6 @@ Json GaugeSample::to_json(bool include_per_rank) const {
     }
     j["serving"] = std::move(s);
   }
-  if (prof.present) {
-    Json p = Json::object();
-    p["backend"] = prof.backend;
-    p["degraded"] = prof.degraded;
-    p["reads"] = prof.reads;
-    p["read_failures"] = prof.read_failures;
-    Json phases = Json::object();
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      const CounterSet& c = prof.phase[i];
-      Json ph = Json::object();
-      ph["cycles"] = c[ProfCounter::kCycles];
-      ph["instructions"] = c[ProfCounter::kInstructions];
-      ph["llc_loads"] = c[ProfCounter::kLlcLoads];
-      ph["llc_misses"] = c[ProfCounter::kLlcMisses];
-      ph["branch_misses"] = c[ProfCounter::kBranchMisses];
-      ph["stalled_cycles"] = c[ProfCounter::kStalledCycles];
-      ph["dtlb_loads"] = c[ProfCounter::kDtlbLoads];
-      ph["dtlb_misses"] = c[ProfCounter::kDtlbMisses];
-      ph["minor_faults"] = c[ProfCounter::kMinorFaults];
-      ph["major_faults"] = c[ProfCounter::kMajorFaults];
-      ph["task_clock_ns"] = c[ProfCounter::kTaskClockNs];
-      ph["attributed_ns"] = prof.attributed_ns[i];
-      ph["ipc"] = prof_ipc(c);
-      ph["llc_miss_rate"] = prof_llc_miss_rate(c);
-      ph["dtlb_miss_rate"] = prof_dtlb_miss_rate(c);
-      phases[phase_name(static_cast<Phase>(i))] = std::move(ph);
-    }
-    p["phases"] = std::move(phases);
-    j["prof"] = std::move(p);
-  }
   if (include_per_rank) {
     Json ranks = Json::array();
     for (std::size_t r = 0; r < per_rank.size(); ++r) {
@@ -152,13 +122,6 @@ void PromWriter::labelled(std::string_view name, std::string_view key,
                  static_cast<int>(key.size()), key.data(),
                  static_cast<int>(label.size()), label.data(),
                  static_cast<unsigned long long>(v));
-}
-
-void PromWriter::labelled(std::string_view name, std::string_view key,
-                          std::string_view label, double v) {
-  out_ += strfmt("%s{%.*s=\"%.*s\"} %.9f\n", prom_sanitize_name(name).c_str(),
-                 static_cast<int>(key.size()), key.data(),
-                 static_cast<int>(label.size()), label.data(), v);
 }
 
 std::string GaugeSample::to_prometheus() const {
@@ -264,78 +227,6 @@ std::string GaugeSample::to_prometheus() const {
                "p99 write-to-readable freshness", "gauge");
       w.value("remo_freshness_p99_seconds",
               static_cast<double>(serving.freshness_p99_ns) / 1e9);
-    }
-  }
-  if (prof.present) {
-    w.header("remo_prof_backend_info",
-             "Resolved profiling backend (1 = active; degraded label set "
-             "unless perf_event)",
-             "gauge");
-    w.labelled("remo_prof_backend_info", "backend", prof.backend,
-               std::uint64_t{1});
-    w.header("remo_prof_reads_total", "Successful counter-group reads",
-             "counter");
-    w.value("remo_prof_reads_total", prof.reads);
-    w.header("remo_prof_read_failures_total", "Failed counter-group reads",
-             "counter");
-    w.value("remo_prof_read_failures_total", prof.read_failures);
-    w.header("remo_prof_cycles_total", "CPU cycles attributed per phase",
-             "counter");
-    w.header("remo_prof_instructions_total",
-             "Instructions retired attributed per phase", "counter");
-    w.header("remo_prof_llc_loads_total", "LLC read accesses per phase",
-             "counter");
-    w.header("remo_prof_llc_misses_total", "LLC read misses per phase",
-             "counter");
-    w.header("remo_prof_branch_misses_total", "Branch misses per phase",
-             "counter");
-    w.header("remo_prof_stalled_cycles_total",
-             "Backend-stalled cycles per phase", "counter");
-    w.header("remo_prof_dtlb_loads_total", "dTLB read accesses per phase",
-             "counter");
-    w.header("remo_prof_dtlb_misses_total", "dTLB read misses per phase",
-             "counter");
-    w.header("remo_prof_minor_faults_total",
-             "Minor page faults attributed per phase", "counter");
-    w.header("remo_prof_major_faults_total",
-             "Major page faults attributed per phase", "counter");
-    w.header("remo_prof_task_clock_seconds_total",
-             "On-CPU time attributed per phase", "counter");
-    w.header("remo_prof_ipc", "Instructions per cycle per phase", "gauge");
-    w.header("remo_prof_llc_miss_rate", "LLC read miss rate per phase",
-             "gauge");
-    w.header("remo_prof_dtlb_miss_rate", "dTLB read miss rate per phase",
-             "gauge");
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      const char* ph = phase_name(static_cast<Phase>(i));
-      const CounterSet& c = prof.phase[i];
-      w.labelled("remo_prof_cycles_total", "phase", ph,
-                 c[ProfCounter::kCycles]);
-      w.labelled("remo_prof_instructions_total", "phase", ph,
-                 c[ProfCounter::kInstructions]);
-      w.labelled("remo_prof_llc_loads_total", "phase", ph,
-                 c[ProfCounter::kLlcLoads]);
-      w.labelled("remo_prof_llc_misses_total", "phase", ph,
-                 c[ProfCounter::kLlcMisses]);
-      w.labelled("remo_prof_branch_misses_total", "phase", ph,
-                 c[ProfCounter::kBranchMisses]);
-      w.labelled("remo_prof_stalled_cycles_total", "phase", ph,
-                 c[ProfCounter::kStalledCycles]);
-      w.labelled("remo_prof_dtlb_loads_total", "phase", ph,
-                 c[ProfCounter::kDtlbLoads]);
-      w.labelled("remo_prof_dtlb_misses_total", "phase", ph,
-                 c[ProfCounter::kDtlbMisses]);
-      w.labelled("remo_prof_minor_faults_total", "phase", ph,
-                 c[ProfCounter::kMinorFaults]);
-      w.labelled("remo_prof_major_faults_total", "phase", ph,
-                 c[ProfCounter::kMajorFaults]);
-      w.labelled("remo_prof_task_clock_seconds_total", "phase", ph,
-                 static_cast<double>(c[ProfCounter::kTaskClockNs]) / 1e9);
-      w.labelled("remo_prof_ipc", "phase", ph, prof_ipc(c));
-      w.labelled("remo_prof_llc_miss_rate", "phase", ph,
-                 prof_llc_miss_rate(c));
-      w.labelled("remo_prof_dtlb_miss_rate", "phase", ph,
-                 prof_dtlb_miss_rate(c));
     }
   }
   return w.str();

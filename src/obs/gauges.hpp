@@ -33,8 +33,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "obs/phase_timer.hpp"
-#include "obs/prof.hpp"
 
 namespace remo::obs {
 
@@ -60,18 +58,6 @@ class PromWriter {
   /// One labelled sample line: name{key="label"} v.
   void labelled(std::string_view name, std::string_view key,
                 std::string_view label, std::uint64_t v);
-  void labelled(std::string_view name, std::string_view key,
-                std::string_view label, double v);
-  /// Smaller integer types would otherwise be ambiguous between the
-  /// uint64 and double overloads.
-  void labelled(std::string_view name, std::string_view key,
-                std::string_view label, int v) {
-    labelled(name, key, label, static_cast<std::uint64_t>(v < 0 ? 0 : v));
-  }
-  void labelled(std::string_view name, std::string_view key,
-                std::string_view label, unsigned v) {
-    labelled(name, key, label, static_cast<std::uint64_t>(v));
-  }
 
   const std::string& str() const noexcept { return out_; }
 
@@ -142,19 +128,6 @@ struct ServingGauges {
   std::uint64_t freshness_p99_ns = 0;
 };
 
-/// Hardware-counter gauges riding along in a GaugeSample (schema stays
-/// "remo-gauges-1"; the block is emitted only when `present`). Aggregated
-/// across ranks by Engine::sample_gauges() from the per-rank profilers.
-struct ProfGauges {
-  bool present = false;
-  std::string backend;    ///< resolved backend name ("perf_event", ...)
-  bool degraded = false;  ///< backend != perf_event
-  std::array<CounterSet, kPhaseCount> phase{};  ///< attributed deltas
-  std::array<std::uint64_t, kPhaseCount> attributed_ns{};
-  std::uint64_t reads = 0;
-  std::uint64_t read_failures = 0;
-};
-
 /// A point-in-time reading of every live gauge (schema "remo-gauges-1").
 struct GaugeSample {
   std::uint64_t sample_ns = 0;  ///< engine-relative monotonic sample time
@@ -184,9 +157,6 @@ struct GaugeSample {
 
   /// Serving-plane block (absent unless the serving layer filled it).
   ServingGauges serving;
-
-  /// Hardware-counter block (absent unless profiling is enabled).
-  ProfGauges prof;
 
   /// One flight-recorder record (schema "remo-gauges-1"); `dump()` of this
   /// is one JSONL line.

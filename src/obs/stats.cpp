@@ -67,7 +67,6 @@ Json MetricsSnapshot::to_json(bool include_per_rank) const {
   j["counters"] = counters_to_json(counters);
   j["update_latency"] = histogram_to_json(update_latency_ns);
   j["phases"] = phases_to_json(phases);
-  if (prof.enabled) j["prof"] = prof.to_json();
   if (include_per_rank) {
     Json ranks = Json::array();
     for (std::size_t r = 0; r < per_rank.size(); ++r) {
@@ -128,26 +127,6 @@ std::string MetricsSnapshot::to_text() const {
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     const auto p = static_cast<Phase>(i);
     out += strfmt("  %-15s %s\n", phase_name(p), ns_human(phases[p]).c_str());
-  }
-  if (prof.enabled) {
-    const RankProfSnapshot t = prof.totals();
-    out += strfmt("hardware counters (backend %s%s):\n", prof.backend.c_str(),
-                  prof.degraded ? ", DEGRADED" : "");
-    const bool hw =
-        (prof.available & prof_counter_bit(ProfCounter::kCycles)) != 0;
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      const CounterSet& c = t.phase[i];
-      if (hw) {
-        out += strfmt("  %-15s ipc %.2f   llc-miss %.1f%%   cycles %s\n",
-                      phase_name(static_cast<Phase>(i)), prof_ipc(c),
-                      100.0 * prof_llc_miss_rate(c),
-                      with_commas(c[ProfCounter::kCycles]).c_str());
-      } else {
-        out += strfmt("  %-15s task-clock %s\n",
-                      phase_name(static_cast<Phase>(i)),
-                      ns_human(c[ProfCounter::kTaskClockNs]).c_str());
-      }
-    }
   }
   return out;
 }

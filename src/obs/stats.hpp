@@ -13,7 +13,6 @@
 #include "common/json.hpp"
 #include "obs/histogram.hpp"
 #include "obs/phase_timer.hpp"
-#include "obs/prof.hpp"
 #include "runtime/metrics.hpp"
 
 namespace remo::obs {
@@ -29,7 +28,6 @@ struct MetricsSnapshot {
   HistogramSnapshot update_latency_ns;  ///< merged across ranks
   PhaseSnapshot phases;                 ///< summed across ranks
   std::vector<RankObs> per_rank;
-  ProfSnapshot prof;  ///< hardware-counter attribution (prof.enabled)
 
   /// Latency percentiles + counters + phases as a JSON object
   /// (schema "remo-stats-1"; see docs/OBSERVABILITY.md).

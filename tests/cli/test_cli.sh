@@ -51,7 +51,51 @@ grep -q '"traceEvents"' "$WORK/trace.json"
 grep -q '"ph":"X"' "$WORK/trace.json"
 grep -q '"thread_name"' "$WORK/trace.json"
 
+echo "== folded stacks (ingest and serve) =="
+"$REMO" ingest --graph "$WORK/g.bin" --ranks 2 --algo bfs \
+    --folded "$WORK/ingest.folded"
+"$REMO" serve --graph "$WORK/g.bin" --ranks 2 --queries 2000 \
+    --query-threads 1 --folded "$WORK/serve.folded"
+for f in "$WORK/ingest.folded" "$WORK/serve.folded"; do
+  test -s "$f"
+  # Root frame is the rank thread's label, the last field the sample count.
+  if grep -vqE '^rank [0-9]+;.* [0-9]+$' "$f"; then
+    echo "malformed folded line in $f:"
+    grep -vE '^rank [0-9]+;.* [0-9]+$' "$f" | head -3
+    exit 1
+  fi
+done
+
+echo "== bench-compare refuses differing configs unless --force =="
+for batch in 128 256; do
+  cat > "$WORK/bench_$batch.json" <<EOF
+{"schema": "remo-bench-1", "name": "fig3", "scale_shift": 0, "repeats": 1,
+ "config": {"batch_size": $batch, "coalesce": true},
+ "runs": [{"dataset": "rmat-10", "ranks": 2, "events_per_second": 1000000}]}
+EOF
+done
+rc=0
+"$REMO" bench-compare "$WORK/bench_128.json" "$WORK/bench_256.json" \
+    > "$WORK/cmp.out" || rc=$?
+if [ "$rc" -ne 1 ]; then echo "bench-compare: exit $rc, want 1"; exit 1; fi
+grep -q "refusing" "$WORK/cmp.out"
+grep -q "config.batch_size" "$WORK/cmp.out"
+"$REMO" bench-compare "$WORK/bench_128.json" "$WORK/bench_256.json" --force
+
 echo "== usage error paths =="
+# A flag the verb does not read exits 2, naming it, before any work.
+refuse() {
+  flag="$1"
+  shift
+  rc=0
+  "$REMO" "$@" > "$WORK/out.txt" 2> "$WORK/err.out" || rc=$?
+  if [ "$rc" -ne 2 ]; then echo "remo $*: exit $rc, want 2"; exit 1; fi
+  grep -qF -- "unknown flag $flag" "$WORK/err.out"
+}
+refuse --prof ingest --graph "$WORK/g.bin" --prof
+refuse --stats serve --stats
+refuse --help fuzz --help
+if grep -q "case(s) run" "$WORK/out.txt"; then echo "fuzz --help ran cases"; exit 1; fi
 if "$REMO" bogus-command 2>/dev/null; then echo "expected failure"; exit 1; fi
 if "$REMO" ingest 2>/dev/null; then echo "expected failure"; exit 1; fi
 # Bad graph files: exit 2 with the file named on stderr, never an abort.

@@ -272,7 +272,7 @@ TEST(SpanRecorder, SnapshotJsonRoundTrip) {
 
 TEST(SpanRecorder, FromJsonRejectsWrongSchema) {
   Json doc = Json::object();
-  doc["schema"] = std::string("remo-prof-1");
+  doc["schema"] = std::string("remo-gauges-1");
   SpanSnapshot out;
   std::string error;
   EXPECT_FALSE(SpanSnapshot::from_json(doc, out, &error));

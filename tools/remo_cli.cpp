@@ -21,7 +21,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "remo/remo.hpp"
 
@@ -82,9 +84,7 @@ int usage() {
                "                [--latency-sample SHIFT]\n"
                "                [--watch] [--metrics-out FILE] [--metrics-period MS]\n"
                "                [--metrics-format jsonl|prom] [--watchdog]\n"
-               "                [--prof] [--prof-out FILE] [--prof-shift N]\n"
-               "                [--prof-backend auto|perf|perf_event|rusage|noop|none]\n"
-               "                [--folded FILE] [--prof-period-us US]\n"
+               "                [--folded FILE]\n"
                "  remo serve    --graph FILE [--ranks N] [--streams N] [--source V]\n"
                "                [--queries N] [--query-threads T] [--refresh-ms MS]\n"
                "                [--top-k K] [--safra] [--seed S]\n"
@@ -93,12 +93,9 @@ int usage() {
                "                [--stats-json FILE] [--trace FILE]\n"
                "                [--metrics-out FILE] [--metrics-period MS]\n"
                "                [--metrics-format jsonl|prom]\n"
-               "                [--prof] [--prof-out FILE] [--prof-shift N]\n"
-               "                [--prof-backend auto|perf|perf_event|rusage|noop|none]\n"
-               "                [--folded FILE] [--prof-period-us US]\n"
+               "                [--folded FILE]\n"
                "  remo trace-analyze --spans FILE [--tail] [--tail-pct P]\n"
                "                     [--require-complete]\n"
-               "  remo trace-analyze --prof FILE [--spans FILE]\n"
                "  remo bench-compare A.json B.json [--gate METRIC=PCT]\n"
                "                     [--gate-pct PCT] [--force]\n"
                "  remo fuzz       [--seeds N] [--seed-base S] [--vertices N]\n"
@@ -150,6 +147,8 @@ int usage() {
                "  --stats-json FILE  write the same as JSON (schema remo-stats-1)\n"
                "  --trace FILE       capture a chrome://tracing / Perfetto trace\n"
                "  --latency-sample N time every 2^N-th update (default 6; 0 = all)\n"
+               "  --folded FILE      sampled on-CPU profile as folded stacks\n"
+               "                     (flamegraph.pl compatible)\n"
                "\n"
                "write-path spans (docs/OBSERVABILITY.md \"Write-path spans\"):\n"
                "  trace-analyze --spans FILE\n"
@@ -165,28 +164,7 @@ int usage() {
                "  --no-coalesce      deliver every Update visitor verbatim instead\n"
                "                     of merging same-sender monotone updates\n"
                "\n"
-               "hardware counters (docs/OBSERVABILITY.md \"Profiling\"):\n"
-               "  --prof             open per-rank counter groups (cycles, instr,\n"
-               "                     LLC loads/misses, branch misses, stalls,\n"
-               "                     dTLB loads/misses, page faults) and\n"
-               "                     attribute them to engine phases; prints the\n"
-               "                     per-rank x per-phase IPC / miss-rate table\n"
-               "  --prof-out FILE    write the remo-prof-1 JSON snapshot (feed to\n"
-               "                     trace-analyze --prof)\n"
-               "  --prof-shift N     read counters every 2^N-th phase boundary\n"
-               "                     (default 4)\n"
-               "  --prof-backend B   accepted values: auto (default; tries\n"
-               "                     perf_event, falls back to rusage, then noop),\n"
-               "                     perf or perf_event (force hardware counters),\n"
-               "                     rusage (task clock + minor/major faults via\n"
-               "                     getrusage), noop or none (disable reads)\n"
-               "  --folded FILE      sampled on-CPU profile as folded stacks\n"
-               "                     (flamegraph.pl compatible)\n"
-               "  --prof-period-us U stack sampling period (default 1000)\n"
-               "  trace-analyze --prof FILE [--spans FILE]\n"
-               "                     re-print a prof dump's attribution tables;\n"
-               "                     with --spans, join phase counters against the\n"
-               "                     write-path stage percentiles\n"
+               "bench regression gate (docs/OBSERVABILITY.md):\n"
                "  bench-compare      diff two remo-bench-1 reports metric-by-metric\n"
                "                     with %% deltas; exit 1 when a gated metric\n"
                "                     (default: events_per_second at 3%%) regresses;\n"
@@ -263,58 +241,23 @@ int cmd_stats(const Args& a) {
   return 0;
 }
 
-// --- Hardware-counter profiling (docs/OBSERVABILITY.md "Profiling") --------
+// --- Folded stacks (docs/OBSERVABILITY.md "Folded stacks") -----------------
 
-/// Fold the --prof* flags into the engine config. Asking for any prof
-/// output implies --prof.
-void apply_prof_args(const Args& a, EngineConfig& cfg) {
-  const bool want = a.flag("prof") || !a.str("prof-out").empty() ||
-                    !a.str("folded").empty();
-  if (!want) return;
-  cfg.obs.prof = true;
-  cfg.obs.prof_sample_shift = static_cast<std::uint32_t>(
-      a.num("prof-shift", cfg.obs.prof_sample_shift));
-  const std::string backend = a.str("prof-backend", "auto");
-  if (backend == "perf" || backend == "perf_event")
-    cfg.obs.prof_backend = obs::ProfBackendKind::kPerfEvent;
-  else if (backend == "rusage")
-    cfg.obs.prof_backend = obs::ProfBackendKind::kRusage;
-  else if (backend == "noop" || backend == "none")
-    cfg.obs.prof_backend = obs::ProfBackendKind::kNoop;
-  if (!a.str("folded").empty()) {
-    cfg.obs.prof_stacks = true;
-    cfg.obs.prof_stack_period_us = static_cast<std::uint32_t>(
-        a.num("prof-period-us", cfg.obs.prof_stack_period_us));
-  }
-}
-
-/// Print the attribution tables and write the requested artefacts after a
-/// run. Returns nonzero only on a write failure (degraded backends print a
-/// banner but exit clean — CI containers without perf access must pass).
-int report_prof(const Args& a, Engine& engine) {
-  if (!engine.prof_enabled()) return 0;
-  std::fputs(obs::format_prof_report(engine.prof_snapshot()).c_str(), stdout);
-  if (const std::string out = a.str("prof-out"); !out.empty()) {
-    if (!engine.write_prof(out)) {
-      std::fprintf(stderr, "failed to write prof counters to %s\n", out.c_str());
-      return 1;
-    }
-    std::printf("prof counters written to %s (analyze with `remo "
-                "trace-analyze --prof %s`)\n", out.c_str(), out.c_str());
-  }
-  if (const std::string folded = a.str("folded"); !folded.empty()) {
-    if (!obs::StackSampler::supported() || engine.stack_sampler() == nullptr) {
-      std::fprintf(stderr,
-                   "stack sampling unavailable on this platform; no folded "
-                   "output written\n");
-    } else if (!engine.write_folded(folded)) {
-      std::fprintf(stderr, "failed to write folded stacks to %s\n",
-                   folded.c_str());
-      return 1;
-    } else {
-      std::printf("folded stacks written to %s (flamegraph.pl %s > prof.svg)\n",
-                  folded.c_str(), folded.c_str());
-    }
+/// Write the --folded stacks after a run. Returns nonzero only on a write
+/// failure: a platform without the sampler prints a note and exits clean.
+int report_folded(const Args& a, Engine& engine) {
+  const std::string folded = a.str("folded");
+  if (folded.empty()) return 0;
+  if (engine.stack_sampler() == nullptr) {
+    std::fprintf(stderr,
+                 "stack sampling unavailable on this platform; no folded "
+                 "output written\n");
+  } else if (!engine.write_folded(folded)) {
+    std::fprintf(stderr, "failed to write folded stacks to %s\n", folded.c_str());
+    return 1;
+  } else {
+    std::printf("folded stacks written to %s (flamegraph.pl %s > prof.svg)\n",
+                folded.c_str(), folded.c_str());
   }
   return 0;
 }
@@ -336,7 +279,7 @@ int cmd_ingest(const Args& a) {
   cfg.obs.trace = !trace_path.empty();
   cfg.obs.latency_sample_shift = static_cast<std::uint32_t>(
       a.num("latency-sample", cfg.obs.latency_sample_shift));
-  apply_prof_args(a, cfg);
+  cfg.obs.stacks = !a.str("folded").empty();
   Engine engine(cfg);
 
   const std::string algo = a.str("algo", "none");
@@ -507,7 +450,7 @@ int cmd_ingest(const Args& a) {
       return 1;
     }
   }
-  if (const int rc = report_prof(a, engine); rc != 0) return rc;
+  if (const int rc = report_folded(a, engine); rc != 0) return rc;
   return 0;
 }
 
@@ -533,7 +476,7 @@ int cmd_serve(const Args& a) {
   cfg.num_ranks = static_cast<RankId>(a.num("ranks", 4));
   if (a.flag("safra")) cfg.termination = TerminationMode::kSafra;
   cfg.obs.trace = !trace_path.empty();
-  apply_prof_args(a, cfg);
+  cfg.obs.stacks = !a.str("folded").empty();
   Engine engine(cfg);
 
   std::unique_ptr<obs::SpanRecorder> spans;
@@ -713,7 +656,7 @@ int cmd_serve(const Args& a) {
                 spans_out.c_str(), spans_out.c_str());
   }
 
-  if (const int rc = report_prof(a, engine); rc != 0) return rc;
+  if (const int rc = report_folded(a, engine); rc != 0) return rc;
 
   if (const std::string stats_json = a.str("stats-json"); !stats_json.empty()) {
     // The engine's remo-stats-1 document, decorated with the serving plane.
@@ -871,45 +814,13 @@ int analyze_spans(const Args& a, const std::string& path) {
   return 0;
 }
 
-// Hardware-counter analysis: re-print a remo-prof-1 dump's per-rank x
-// per-phase attribution tables; with --spans, join the phase counters
-// against the write path's per-stage percentiles (the "where do the cycles
-// go" view in docs/OBSERVABILITY.md).
-int analyze_prof(const Args& a, const std::string& path) {
-  Json doc;
-  if (!load_json_file(path, doc)) return 1;
-  std::string error;
-  obs::ProfSnapshot snap;
-  if (!obs::ProfSnapshot::from_json(doc, snap, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-  obs::SpanSnapshot spans;
-  bool have_spans = false;
-  if (const std::string spans_path = a.str("spans"); !spans_path.empty()) {
-    Json sdoc;
-    if (!load_json_file(spans_path, sdoc)) return 1;
-    if (!obs::SpanSnapshot::from_json(sdoc, spans, &error)) {
-      std::fprintf(stderr, "%s: %s\n", spans_path.c_str(), error.c_str());
-      return 1;
-    }
-    have_spans = true;
-  }
-  std::fputs(
-      obs::format_prof_report(snap, have_spans ? &spans : nullptr).c_str(),
-      stdout);
-  return 0;
-}
-
 int cmd_trace_analyze(const Args& a) {
-  if (const std::string prof_path = a.str("prof"); !prof_path.empty())
-    return analyze_prof(a, prof_path);
   if (const std::string spans_path = a.str("spans"); !spans_path.empty())
     return analyze_spans(a, spans_path);
   return usage();
 }
 
-// --- Bench regression gate (docs/OBSERVABILITY.md "Profiling") -------------
+// --- Bench regression gate (docs/OBSERVABILITY.md "Bench regression harness")
 
 // Parses raw argv: the two report paths are positional, which the Args
 // map cannot represent, and --gate repeats.
@@ -1095,20 +1006,74 @@ int cmd_fuzz_repro(const Args& a) {
   return 1;
 }
 
+// --- Verbs -----------------------------------------------------------------
+
+using Flags = std::vector<std::string_view>;
+
+/// `own` plus what ingest and serve both read: the input graph, the engine
+/// and stream shape, and the observability outputs.
+Flags with_engine_flags(Flags own) {
+  for (std::string_view f :
+       {"graph", "ranks", "streams", "source", "seed", "safra", "stats-json", "trace",
+        "folded", "metrics-out", "metrics-period", "metrics-format"})
+    own.push_back(f);
+  return own;
+}
+
+struct Verb {
+  std::string_view name;
+  int (*run)(const Args&);
+  Flags flags;  ///< every flag `run` reads, without the leading "--"
+};
+
+/// False, naming the culprit on stderr, when an argument is not one of the
+/// verb's flags: a typo or a removed option would otherwise be ignored
+/// without a word.
+bool flags_known(const Args& a, const Flags& known) {
+  for (const auto& kv : a.kv) {
+    const std::string_view k = kv.first;
+    if (k.starts_with("--") &&
+        std::find(known.begin(), known.end(), k.substr(2)) != known.end())
+      continue;
+    std::fprintf(stderr, "remo %s: unknown flag %s\n", a.command.c_str(),
+                 kv.first.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
+  const Verb verbs[] = {
+      {"generate", cmd_generate, {"kind", "scale", "seed", "out"}},
+      {"stats", cmd_stats, {"graph"}},
+      {"ingest", cmd_ingest,
+       with_engine_flags({"algo", "tolerance", "weights", "snapshot", "batch-size",
+                          "no-coalesce", "stats", "latency-sample", "watch",
+                          "watchdog"})},
+      {"serve", cmd_serve,
+       with_engine_flags({"queries", "query-threads", "refresh-ms", "top-k", "gate",
+                          "gate-batch", "gate-threads", "spans", "spans-out",
+                          "span-sample"})},
+      {"trace-analyze", cmd_trace_analyze,
+       {"spans", "tail", "tail-pct", "require-complete"}},
+      {"fuzz", cmd_fuzz,
+       {"seeds", "seed-base", "vertices", "events", "deletes", "mutations",
+        "max-weight", "algo", "query-observer", "keep-going", "no-shrink",
+        "shrink-runs", "out-dir"}},
+      {"fuzz-repro", cmd_fuzz_repro,
+       {"file", "query-observer", "shrink", "shrink-runs", "out"}},
+  };
   // Bad input files (src/io) throw; report them instead of aborting.
   try {
-    if (a.command == "generate") return cmd_generate(a);
-    if (a.command == "stats") return cmd_stats(a);
-    if (a.command == "ingest") return cmd_ingest(a);
-    if (a.command == "serve") return cmd_serve(a);
-    if (a.command == "trace-analyze") return cmd_trace_analyze(a);
     if (a.command == "bench-compare") return cmd_bench_compare(argc, argv);
-    if (a.command == "fuzz") return cmd_fuzz(a);
-    if (a.command == "fuzz-repro") return cmd_fuzz_repro(a);
+    for (const Verb& v : verbs) {
+      if (a.command != v.name) continue;
+      if (!flags_known(a, v.flags)) return 2;
+      return v.run(a);
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "remo: %s\n", e.what());
     return 2;
