@@ -6,7 +6,8 @@
 //   * sustained update throughput with readers attached vs the no-reader
 //     baseline (the "gates.throughput_ratio" — CI asserts >= the floor);
 //   * WriteGate admission as a third row: conflict-scheduled concurrent
-//     submission with wave-occupancy stats.
+//     submission with wave-occupancy stats and the write-to-readable
+//     freshness of every admitted batch.
 //
 // Extra env knobs (on top of bench_util's):
 //   REMO_SERVE_QUERIES     queries to issue per repeat (default 1,000,000)
@@ -16,9 +17,6 @@
 //                          where ranks and the refresher share cores, a
 //                          cadence shorter than a versioned cut keeps a
 //                          cut permanently in flight and taxes ingest)
-//   REMO_SERVE_SPANS       1 (default) records a write-path span per gate
-//                          batch in phase C; 0 disables the recorder (the
-//                          A/B overhead baseline)
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -237,21 +235,17 @@ int main() {
     report.add_run(std::move(row));
   }
 
-  // --- Phase C: conflict-scheduled gate admission with write-path spans --
-  // A full serving plane this time (gate + periodic view publisher), so
-  // every admitted batch's span can close at its covering publish and the
-  // report carries a write-to-readable freshness distribution. Updates are
-  // submitted in gate-batch-sized chunks — a streaming client, not one
-  // giant enqueue — so queue time reflects admission, not the benchmark's
-  // own backlog. REMO_SERVE_SPANS=0 turns the recorder off; the A/B pair
-  // (bench/results/BENCH_fig8_spans_{off,on}.json) holds tracing overhead
-  // to the <= 3% budget documented in docs/OBSERVABILITY.md.
-  const bool spans_on = env_u64("REMO_SERVE_SPANS", 1) != 0;
+  // --- Phase C: conflict-scheduled gate admission, freshness measured ---
+  // A full serving plane this time (gate + periodic view publisher): the
+  // gate reports every admitted batch to the service, and the first
+  // publish covering a batch records its write-to-readable freshness.
+  // Updates are submitted in gate-batch-sized chunks — a streaming client,
+  // not one giant enqueue — so freshness reflects admission, not the
+  // benchmark's own backlog.
   std::vector<double> gate_rates, gate_walls;
   std::uint64_t gate_events = 0;
-  obs::SpanCounts span_counts{};
-  Json gate_stats_json = Json::object();
-  Json spans_json = Json::object();
+  serve::WriteGateStats gate_stats;
+  serve::ServeStats gate_serve;
   for (int rep = 0; rep < repeats; ++rep) {
     EngineConfig gcfg;
     gcfg.num_ranks = ranks;
@@ -259,12 +253,9 @@ int main() {
     Engine gengine(gcfg);
     const ServeSetup gsetup = attach_served(gengine, data);
 
-    obs::SpanRecorder rec({.sample_shift = 0});
-    obs::SpanRecorder* spans = spans_on ? &rec : nullptr;
     serve::QueryService gqs(
         gengine, {.refresh_period_ms = static_cast<std::uint32_t>(refresh_ms),
-                  .top_k = 16,
-                  .spans = spans});
+                  .top_k = 16});
     gqs.serve(gsetup.bfs_id, serve::ViewRole::kDistance);
     gqs.serve(gsetup.cc_id, serve::ViewRole::kComponent);
     gqs.serve(gsetup.deg_id, serve::ViewRole::kDegree);
@@ -273,7 +264,7 @@ int main() {
     constexpr std::size_t kChunk = 4096;
     serve::WriteGate gate(gengine, {.batch_limit = kChunk,
                                     .dispatch_threads = 2,
-                                    .spans = spans});
+                                    .service = &gqs});
     std::vector<EdgeEvent> events;
     events.reserve(data.edges.size());
     for (const Edge& e : data.edges)
@@ -287,7 +278,7 @@ int main() {
     gate.flush();
     gengine.drain();
     const double secs = now_s() - t0;
-    gqs.refresh_all();  // covering publish: closes every remaining span
+    gqs.refresh_all();  // covering publish: every admitted batch is readable
     gqs.stop();
     gate_events = events.size();
     gate_walls.push_back(secs);
@@ -297,54 +288,31 @@ int main() {
 
     // Last repeat's structured detail goes into the report row; rates are
     // averaged across all repeats.
-    gate_stats_json = gate.stats().to_json();
-    const serve::WriteGateStats gst = gate.stats();
+    gate_stats = gate.stats();
+    gate_serve = gqs.stats();
     std::printf(
         "gate ingest: %s events/s — %llu waves (%llu parallel, %llu "
         "fallback), occupancy %.1f\n",
         rate(mean(gate_rates)).c_str(),
-        static_cast<unsigned long long>(gst.waves),
-        static_cast<unsigned long long>(gst.parallel_waves),
-        static_cast<unsigned long long>(gst.serial_fallback_batches),
-        gst.mean_wave_occupancy);
-    if (spans_on) {
-      span_counts = rec.counts();
-      std::printf(
-          "spans: %llu/%llu closed — write-to-readable p50 %.1f ms, p99 "
-          "%.1f ms\n",
-          static_cast<unsigned long long>(span_counts.completed),
-          static_cast<unsigned long long>(span_counts.batches_sampled),
-          static_cast<double>(span_counts.freshness_p50_ns) / 1e6,
-          static_cast<double>(span_counts.freshness_p99_ns) / 1e6);
-      const obs::SpanSnapshot sn = rec.snapshot();
-      Json sp = Json::object();
-      sp["sampled"] = sn.batches_sampled;
-      sp["completed"] = sn.completed;
-      sp["open"] = sn.open;
-      sp["dropped"] = sn.dropped_open;
-      sp["freshness_p50_ms"] =
-          static_cast<double>(sn.freshness.hist.p50()) / 1e6;
-      sp["freshness_p99_ms"] =
-          static_cast<double>(sn.freshness.hist.p99()) / 1e6;
-      Json stages = Json::object();
-      for (std::size_t i = 0; i < obs::kWriteStageCount; ++i) {
-        Json e = Json::object();
-        e["p50_ms"] = static_cast<double>(sn.stages[i].hist.p50()) / 1e6;
-        e["p99_ms"] = static_cast<double>(sn.stages[i].hist.p99()) / 1e6;
-        stages[obs::write_stage_name(static_cast<obs::WriteStage>(i))] = e;
-      }
-      sp["stages"] = stages;
-      spans_json = std::move(sp);
-    }
+        static_cast<unsigned long long>(gate_stats.waves),
+        static_cast<unsigned long long>(gate_stats.parallel_waves),
+        static_cast<unsigned long long>(gate_stats.serial_fallback_batches),
+        gate_stats.mean_wave_occupancy);
+    std::printf(
+        "freshness: %llu of %llu batches readable — write-to-readable p50 "
+        "%.1f ms, p99 %.1f ms\n",
+        static_cast<unsigned long long>(gate_serve.freshness_samples),
+        static_cast<unsigned long long>(gate_stats.batches),
+        static_cast<double>(gate_serve.freshness_p50_ns) / 1e6,
+        static_cast<double>(gate_serve.freshness_p99_ns) / 1e6);
   }
   const double gate_eps = mean(gate_rates);
   {
     Json row = run_row(data.name, ranks, gate_events, mean(gate_walls),
                        gate_eps);
     row["mode"] = "gate";
-    row["gate"] = gate_stats_json;
-    row["spans_enabled"] = spans_on;
-    if (spans_on) row["spans"] = spans_json;
+    row["gate"] = gate_stats.to_json();
+    row["serve"] = gate_serve.to_json();
     report.add_run(std::move(row));
   }
 
@@ -353,11 +321,11 @@ int main() {
   // stay in flight as long as the rank backlog keeps refilling, so the
   // worst batch's write-to-readable time is bounded by the phase wall
   // itself, plus refresh-relative slack for the closing publishes. The
-  // gate therefore asserts "no span outlived the workload that produced
-  // it" — a leaked span or a stalled publisher blows straight past it —
-  // rather than an absolute number a loaded CI host can't honour.
-  // Span counts come from the last repeat, so the limit uses that
-  // repeat's wall time.
+  // gate therefore asserts "no batch waited longer than the workload that
+  // produced it" — a lost batch or a stalled publisher blows straight past
+  // it — rather than an absolute number a loaded CI host can't honour.
+  // Freshness comes from the last repeat, so the limit uses that repeat's
+  // wall time.
   const double freshness_limit_ms =
       (gate_walls.empty() ? 0.0 : gate_walls.back()) * 1000.0 +
       static_cast<double>(refresh_ms) * 20.0 + 2000.0;
@@ -370,25 +338,19 @@ int main() {
   gates["convergence_lag_events"] = gauges.convergence_lag_events;
   bool pass = p99_us / 1e3 <= 20.0 && ratio >= 0.85 &&
               gauges.convergence_lag_events == 0;
-  gates["spans_enabled"] = spans_on;
-  if (spans_on) {
-    const double fresh_p50_ms =
-        static_cast<double>(span_counts.freshness_p50_ns) / 1e6;
-    const double fresh_p99_ms =
-        static_cast<double>(span_counts.freshness_p99_ns) / 1e6;
-    gates["freshness_p50_ms"] = fresh_p50_ms;
-    gates["freshness_p99_ms"] = fresh_p99_ms;
-    gates["freshness_p99_ms_limit"] = freshness_limit_ms;
-    gates["spans_sampled"] = span_counts.batches_sampled;
-    gates["spans_completed"] = span_counts.completed;
-    gates["spans_open"] = span_counts.open;
-    gates["spans_dropped"] = span_counts.dropped_open;
-    const bool spans_ok = span_counts.batches_sampled > 0 &&
-                          span_counts.completed == span_counts.batches_sampled &&
-                          span_counts.open == 0 && span_counts.dropped_open == 0;
-    gates["spans_complete"] = spans_ok;
-    pass = pass && spans_ok && fresh_p99_ms <= freshness_limit_ms;
-  }
+  const double fresh_p99_ms =
+      static_cast<double>(gate_serve.freshness_p99_ns) / 1e6;
+  gates["freshness_p50_ms"] =
+      static_cast<double>(gate_serve.freshness_p50_ns) / 1e6;
+  gates["freshness_p99_ms"] = fresh_p99_ms;
+  gates["freshness_p99_ms_limit"] = freshness_limit_ms;
+  // Every admitted batch became readable: none pending, none dropped.
+  const bool complete = gate_stats.batches > 0 &&
+                        gate_serve.freshness_samples == gate_stats.batches &&
+                        gate_serve.freshness_pending == 0 &&
+                        gate_serve.freshness_dropped == 0;
+  gates["freshness_complete"] = complete;
+  pass = pass && complete && fresh_p99_ms <= freshness_limit_ms;
   gates["pass"] = pass;
   report.set("gates", std::move(gates));
   report.write();

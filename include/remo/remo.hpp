@@ -23,7 +23,6 @@
 #include "obs/obs_config.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/stacks.hpp"
-#include "obs/span.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"

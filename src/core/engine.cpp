@@ -649,17 +649,15 @@ void Engine::set_epoch_drain_hook(EpochDrainHook hook) {
   epoch_drain_hook_ = std::move(hook);
 }
 
-bool Engine::write_trace(const std::string& path,
-                         std::vector<obs::TraceTrack> extra_tracks) const {
+bool Engine::write_trace(const std::string& path) const {
   if (!tracing_enabled()) return false;
   std::vector<obs::TraceTrack> tracks;
-  tracks.reserve(ranks_.size() + 1 + extra_tracks.size());
+  tracks.reserve(ranks_.size() + 1);
   for (RankId r = 0; r < cfg_.num_ranks; ++r)
     tracks.push_back(obs::TraceTrack{strfmt("rank %u", r), r,
                                      ranks_[r]->trace->events()});
   tracks.push_back(
       obs::TraceTrack{"main", cfg_.num_ranks, main_trace_->events()});
-  for (auto& t : extra_tracks) tracks.push_back(std::move(t));
   return obs::write_chrome_trace(path, "remo engine", tracks);
 }
 

@@ -209,12 +209,10 @@ class Engine {
   bool tracing_enabled() const noexcept;
 
   /// Export the captured trace as chrome://tracing JSON — one track per
-  /// rank plus one for the main thread's control operations, followed by
-  /// any caller-supplied extra tracks (e.g. a SpanRecorder's write-path
-  /// flow slices). Call at quiescence (the ring buffers are single-writer).
-  /// Returns false when tracing is disabled or the file cannot be written.
-  bool write_trace(const std::string& path,
-                   std::vector<obs::TraceTrack> extra_tracks = {}) const;
+  /// rank plus one for the main thread's control operations. Call at
+  /// quiescence (the ring buffers are single-writer). Returns false when
+  /// tracing is disabled or the file cannot be written.
+  bool write_trace(const std::string& path) const;
 
   /// Stop the on-CPU stack sampler (if running) and write the folded
   /// flamegraph-compatible stacks. Returns false when stack sampling was
@@ -244,9 +242,8 @@ class Engine {
   }
 
   /// Engine-relative monotonic nanoseconds — the time base of every trace
-  /// slice, gauge sample, and write-path span milestone. Public so external
-  /// instrumentation (the serving plane's span stamps) shares the engine's
-  /// clock instead of inventing a second origin.
+  /// slice, gauge sample, and EpochDrainInfo instant: obs::monotonic_ns()
+  /// minus the engine's start.
   std::uint64_t obs_now() const noexcept;
 
   /// Total topology events accepted so far: main-thread API injections plus
@@ -269,8 +266,9 @@ class Engine {
 
   /// Install (or clear, with an empty function) the epoch-drain hook. The
   /// hook runs on the collecting thread while the engine's op lock is held:
-  /// it must be quick and must not call back into engine operations (the
-  /// serving plane's SpanRecorder::on_epoch_drained is the intended use).
+  /// it must be quick and must not call back into engine operations (a
+  /// timer of epoch cuts, such as a benchmark's cut-latency recorder, is
+  /// the intended use).
   void set_epoch_drain_hook(EpochDrainHook hook);
 
  private:
@@ -328,9 +326,9 @@ class Engine {
   // Serialises collect/repair/ingest phase transitions.
   mutable std::mutex op_mutex_;
 
-  // Write-path span support: invoked by collect_versioned once the old
-  // epoch's in-flight work hits zero. Guarded by op_mutex_ (both the setter
-  // and the only call site hold it).
+  // Invoked by collect_versioned once the old epoch's in-flight work hits
+  // zero. Guarded by op_mutex_ (both the setter and the only call site
+  // hold it).
   EpochDrainHook epoch_drain_hook_;
 
   // Current ingestion run bookkeeping (main thread only).

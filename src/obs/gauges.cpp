@@ -34,6 +34,11 @@ Json GaugeSample::to_json(bool include_per_rank) const {
     s["served_programs"] = serving.served_programs;
     s["read_epoch_lag_events"] = serving.read_epoch_lag_events;
     s["view_age_ns"] = serving.view_age_ns;
+    s["freshness_samples"] = serving.freshness_samples;
+    s["freshness_p50_ns"] = serving.freshness_p50_ns;
+    s["freshness_p99_ns"] = serving.freshness_p99_ns;
+    s["freshness_pending"] = serving.freshness_pending;
+    s["freshness_dropped"] = serving.freshness_dropped;
     if (serving.gate_present) {
       Json g = Json::object();
       g["events_submitted"] = serving.gate_events_submitted;
@@ -43,16 +48,6 @@ Json GaugeSample::to_json(bool include_per_rank) const {
       g["serial_fallback_batches"] = serving.gate_serial_fallback_batches;
       g["mean_wave_occupancy"] = serving.gate_mean_wave_occupancy;
       s["write_gate"] = std::move(g);
-    }
-    if (serving.spans_present) {
-      Json sp = Json::object();
-      sp["sampled"] = serving.spans_sampled;
-      sp["completed"] = serving.spans_completed;
-      sp["open"] = serving.spans_open;
-      sp["dropped"] = serving.spans_dropped;
-      sp["freshness_p50_ns"] = serving.freshness_p50_ns;
-      sp["freshness_p99_ns"] = serving.freshness_p99_ns;
-      s["spans"] = std::move(sp);
     }
     j["serving"] = std::move(s);
   }
@@ -191,6 +186,18 @@ std::string GaugeSample::to_prometheus() const {
              "Age of the oldest active published view", "gauge");
     w.value("remo_serve_view_age_seconds",
             static_cast<double>(serving.view_age_ns) / 1e9);
+    // No batch readable yet (or no gate wired): no percentile to report,
+    // and a 0 would read as instantly fresh.
+    if (serving.freshness_samples > 0) {
+      w.header("remo_freshness_p50_seconds",
+               "Median write-to-readable freshness", "gauge");
+      w.value("remo_freshness_p50_seconds",
+              static_cast<double>(serving.freshness_p50_ns) / 1e9);
+      w.header("remo_freshness_p99_seconds", "p99 write-to-readable freshness",
+               "gauge");
+      w.value("remo_freshness_p99_seconds",
+              static_cast<double>(serving.freshness_p99_ns) / 1e9);
+    }
     if (serving.gate_present) {
       w.header("remo_gate_events_submitted_total",
                "Events enqueued at the write gate", "counter");
@@ -212,21 +219,6 @@ std::string GaugeSample::to_prometheus() const {
       w.header("remo_gate_mean_wave_occupancy",
                "Mean events per wave over non-fallback batches", "gauge");
       w.value("remo_gate_mean_wave_occupancy", serving.gate_mean_wave_occupancy);
-    }
-    if (serving.spans_present) {
-      w.header("remo_spans_completed_total",
-               "Write-path spans closed (batch became readable)", "counter");
-      w.value("remo_spans_completed_total", serving.spans_completed);
-      w.header("remo_spans_open", "Write-path spans still in flight", "gauge");
-      w.value("remo_spans_open", serving.spans_open);
-      w.header("remo_freshness_p50_seconds",
-               "Median write-to-readable freshness", "gauge");
-      w.value("remo_freshness_p50_seconds",
-              static_cast<double>(serving.freshness_p50_ns) / 1e9);
-      w.header("remo_freshness_p99_seconds",
-               "p99 write-to-readable freshness", "gauge");
-      w.value("remo_freshness_p99_seconds",
-              static_cast<double>(serving.freshness_p99_ns) / 1e9);
     }
   }
   return w.str();

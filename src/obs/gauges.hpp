@@ -97,8 +97,8 @@ struct RankGaugeSample {
 /// Serving-plane gauges riding along in a GaugeSample (schema stays
 /// "remo-gauges-1"; the block is emitted only when `present`). Filled by
 /// the serving layer — serve::fill_serving_gauges() — so dashboards fed by
-/// MetricsExporter see the QueryService/WriteGate/span counters without
-/// the obs layer depending on src/serve.
+/// MetricsExporter see the QueryService/WriteGate counters without the obs
+/// layer depending on src/serve.
 struct ServingGauges {
   bool present = false;
 
@@ -108,6 +108,11 @@ struct ServingGauges {
   std::uint64_t served_programs = 0;
   std::uint64_t read_epoch_lag_events = 0;
   std::uint64_t view_age_ns = 0;
+  std::uint64_t freshness_samples = 0;
+  std::uint64_t freshness_p50_ns = 0;
+  std::uint64_t freshness_p99_ns = 0;
+  std::uint64_t freshness_pending = 0;
+  std::uint64_t freshness_dropped = 0;
 
   // WriteGate (WriteGateStats); gate_present gates emission.
   bool gate_present = false;
@@ -117,15 +122,6 @@ struct ServingGauges {
   std::uint64_t gate_waves = 0;
   std::uint64_t gate_serial_fallback_batches = 0;
   double gate_mean_wave_occupancy = 0.0;
-
-  // Write-path spans (SpanCounts); spans_present gates emission.
-  bool spans_present = false;
-  std::uint64_t spans_sampled = 0;
-  std::uint64_t spans_completed = 0;
-  std::uint64_t spans_open = 0;
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t freshness_p50_ns = 0;
-  std::uint64_t freshness_p99_ns = 0;
 };
 
 /// A point-in-time reading of every live gauge (schema "remo-gauges-1").

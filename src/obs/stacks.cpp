@@ -260,8 +260,9 @@ std::uint64_t StackSampler::missed() const noexcept {
 std::string StackSampler::folded() {
   stop();
   std::lock_guard<std::mutex> lock(impl_->mu);
-  std::vector<std::string> lines;
-  lines.reserve(impl_->stacks.size());
+  // Samples at different return addresses in the same functions symbolise
+  // to the same stack: sum them into one line, ordered by stack.
+  std::map<std::string, std::uint64_t> lines;
   for (const auto& [key, count] : impl_->stacks) {
     const auto& [label_idx, frames] = key;
     char** symbols = backtrace_symbols(
@@ -280,14 +281,13 @@ std::string StackSampler::folded() {
       line += name;
     }
     std::free(symbols);
-    line += ' ';
-    line += std::to_string(count);
-    lines.push_back(std::move(line));
+    lines[line] += count;
   }
-  std::sort(lines.begin(), lines.end());
   std::string out;
-  for (const auto& l : lines) {
-    out += l;
+  for (const auto& [stack, count] : lines) {
+    out += stack;
+    out += ' ';
+    out += std::to_string(count);
     out += '\n';
   }
   return out;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_set>
 
 #include "common/json.hpp"
 
@@ -12,15 +11,6 @@ bool write_chrome_trace(const std::string& path, const std::string& process_name
                         const std::vector<TraceTrack>& tracks) {
   Json root = Json::object();
   Json events = Json::array();
-
-  // Flow hygiene: a ring wraparound can overwrite a flow's "s" record while
-  // later "t"/"f" continuations survive (possibly on another rank's track).
-  // Chrome-trace viewers render such orphans as dangling arrows, so collect
-  // the ids whose begin is retained and filter continuations against it.
-  std::unordered_set<std::uint64_t> begun_flows;
-  for (const TraceTrack& track : tracks)
-    for (const TraceEvent& e : track.events)
-      if (e.flow == FlowPhase::kStart) begun_flows.insert(e.flow_id);
 
   // Process / thread metadata so Perfetto shows named tracks.
   {
@@ -60,22 +50,6 @@ bool write_chrome_trace(const std::string& path, const std::string& process_name
       j["tid"] = track.tid;
       if (e.arg_name) j["args"][e.arg_name] = e.arg_value;
       events.push_back(std::move(j));
-
-      if (e.flow == FlowPhase::kNone) continue;
-      if (e.flow != FlowPhase::kStart && !begun_flows.count(e.flow_id))
-        continue;  // orphan continuation: its begin was overwritten
-      Json f = Json::object();
-      f["name"] = e.name ? e.name : "?";
-      f["cat"] = "flow";
-      f["ph"] = e.flow == FlowPhase::kStart ? "s"
-                : e.flow == FlowPhase::kStep ? "t"
-                                             : "f";
-      f["id"] = e.flow_id;
-      f["ts"] = static_cast<double>(e.ts_ns) / 1e3;
-      f["pid"] = 0;
-      f["tid"] = track.tid;
-      if (e.flow != FlowPhase::kStart) f["bp"] = "e";  // bind to enclosing slice
-      events.push_back(std::move(f));
     }
   }
 

@@ -33,15 +33,6 @@ inline constexpr bool kTraceCompiledIn = false;
 inline constexpr bool kTraceCompiledIn = true;
 #endif
 
-/// Flow linkage of a slice: chrome-trace flow events ("s"/"t"/"f") connect
-/// slices across tracks so one request's stages are visually traceable.
-enum class FlowPhase : std::uint8_t {
-  kNone = 0,   ///< plain slice, no flow record
-  kStart = 1,  ///< "s" — the root of a flow (e.g. a write span's queue stage)
-  kStep = 2,   ///< "t" — a continuation on any track
-  kEnd = 3,    ///< "f" — an explicit terminator
-};
-
 /// One complete slice. `name` and `arg_name` must be string literals (or
 /// otherwise outlive the buffer).
 struct TraceEvent {
@@ -50,8 +41,6 @@ struct TraceEvent {
   std::uint64_t ts_ns = 0;         // slice start, engine-relative
   std::uint64_t dur_ns = 0;
   std::uint64_t arg_value = 0;
-  std::uint64_t flow_id = 0;       // nonzero when flow != kNone
-  FlowPhase flow = FlowPhase::kNone;
 };
 
 /// Single-writer ring of trace events.
@@ -68,25 +57,6 @@ class TraceBuffer {
     }
     const std::uint64_t seq = next_.load(std::memory_order_relaxed);
     ring_[seq % ring_.size()] = TraceEvent{name, arg_name, ts_ns, dur_ns, arg_value};
-    next_.store(seq + 1, std::memory_order_release);
-  }
-
-  /// Emit a slice participating in a flow (`flow_id` nonzero). The export
-  /// renders the slice plus a flow record bound to it; continuations whose
-  /// flow-start was lost to ring wraparound are filtered at export so the
-  /// JSON never contains a flow step/end without its begin.
-  void emit_flow(const char* name, std::uint64_t ts_ns, std::uint64_t dur_ns,
-                 std::uint64_t flow_id, FlowPhase phase,
-                 const char* arg_name = nullptr,
-                 std::uint64_t arg_value = 0) noexcept {
-    if constexpr (!kTraceCompiledIn) {
-      (void)name, (void)ts_ns, (void)dur_ns, (void)flow_id, (void)phase;
-      (void)arg_name, (void)arg_value;
-      return;
-    }
-    const std::uint64_t seq = next_.load(std::memory_order_relaxed);
-    ring_[seq % ring_.size()] =
-        TraceEvent{name, arg_name, ts_ns, dur_ns, arg_value, flow_id, phase};
     next_.store(seq + 1, std::memory_order_release);
   }
 

@@ -5,7 +5,7 @@
 #include <chrono>
 
 #include "common/assert.hpp"
-#include "obs/span.hpp"
+#include "obs/phase_timer.hpp"
 
 namespace remo::serve {
 namespace {
@@ -18,13 +18,6 @@ constexpr std::size_t kMaxServePrograms = 32;  // Engine::attach's cap
 constexpr auto kMinPause = std::chrono::milliseconds(2);
 constexpr int kPaceFactor = 3;
 constexpr auto kPollInterval = std::chrono::milliseconds(1);
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 using TopEntry = std::pair<VertexId, StateWord>;
 
@@ -65,6 +58,11 @@ Json ServeStats::to_json() const {
   j["served_programs"] = served_programs;
   j["read_epoch_lag_events"] = read_epoch_lag_events;
   j["view_age_ns"] = view_age_ns;
+  j["freshness_samples"] = freshness_samples;
+  j["freshness_p50_ns"] = freshness_p50_ns;
+  j["freshness_p99_ns"] = freshness_p99_ns;
+  j["freshness_pending"] = freshness_pending;
+  j["freshness_dropped"] = freshness_dropped;
   return j;
 }
 
@@ -73,18 +71,9 @@ QueryService::QueryService(Engine& engine, QueryServiceConfig cfg)
   slots_.reserve(kMaxServePrograms);
   for (std::size_t i = 0; i < kMaxServePrograms; ++i)
     slots_.push_back(std::make_unique<Slot>());
-  if (cfg_.spans) {
-    obs::SpanRecorder* rec = cfg_.spans;
-    engine_.set_epoch_drain_hook([rec](const Engine::EpochDrainInfo& info) {
-      rec->on_epoch_drained(info.watermark, info.drained_ns);
-    });
-  }
 }
 
-QueryService::~QueryService() {
-  stop();
-  if (cfg_.spans) engine_.set_epoch_drain_hook({});
-}
+QueryService::~QueryService() { stop(); }
 
 void QueryService::serve(ProgramId p, ViewRole role) {
   REMO_CHECK(p < engine_.num_programs());
@@ -170,7 +159,7 @@ void QueryService::publish(const std::vector<ProgramId>& programs) {
   // under-reports what a view might be missing.
   const std::uint64_t watermark = engine_.ingested_watermark();
   std::vector<ShardedState> cut = engine_.collect_versioned_shards(programs);
-  const std::uint64_t at = now_ns();
+  const std::uint64_t at = obs::monotonic_ns();
   for (std::size_t i = 0; i < programs.size(); ++i) {
     Slot& s = *slots_[programs[i]];
     auto view = std::make_shared<StateView>(
@@ -186,10 +175,31 @@ void QueryService::publish(const std::vector<ProgramId>& programs) {
     }
     refreshes_.fetch_add(1, std::memory_order_relaxed);
   }
-  // The views are readable now: complete every span whose admission
-  // watermark they cover (the pre-cut watermark sample above makes
-  // "covers" sound — see the SpanRecorder file comment).
-  if (cfg_.spans) cfg_.spans->on_view_published(watermark, engine_.obs_now());
+  // The views are readable now. A batch's admission watermark counts all
+  // of its events, and an event is counted only after its in-flight
+  // registration, so a cut whose pre-cut watermark reaches the batch's
+  // has drained the whole batch. A concurrent foreign injection can only
+  // raise a batch's stamp: it closes late, never early.
+  const std::uint64_t readable = obs::monotonic_ns();
+  std::lock_guard fresh_guard(fresh_mutex_);
+  std::size_t kept = 0;
+  for (const PendingBatch& b : pending_) {
+    if (b.watermark <= watermark)
+      freshness_.record(readable > b.submitted_ns ? readable - b.submitted_ns : 0);
+    else
+      pending_[kept++] = b;
+  }
+  pending_.resize(kept);
+}
+
+void QueryService::batch_admitted(std::uint64_t watermark,
+                                  std::uint64_t submitted_ns) {
+  std::lock_guard guard(fresh_mutex_);
+  if (pending_.size() >= kMaxPendingBatches) {
+    ++dropped_;
+    return;
+  }
+  pending_.push_back(PendingBatch{watermark, submitted_ns});
 }
 
 std::shared_ptr<const StateView> QueryService::pin(ProgramId p) const {
@@ -276,9 +286,16 @@ ServeStats QueryService::stats() const {
     const obs::GaugeSample g = engine_.sample_gauges();
     st.read_epoch_lag_events =
         g.events_ingested > oldest_wm ? g.events_ingested - oldest_wm : 0;
-    const std::uint64_t now = now_ns();
+    const std::uint64_t now = obs::monotonic_ns();
     st.view_age_ns = now > oldest_pub ? now - oldest_pub : 0;
   }
+  std::lock_guard guard(fresh_mutex_);
+  const obs::HistogramSnapshot fresh = freshness_.snapshot();
+  st.freshness_samples = fresh.count;
+  st.freshness_p50_ns = fresh.p50();
+  st.freshness_p99_ns = fresh.p99();
+  st.freshness_pending = pending_.size();
+  st.freshness_dropped = dropped_;
   return st;
 }
 

@@ -23,6 +23,12 @@
 // while three refreshes fit in the period; a shorter period publishes once
 // per period.
 //
+// Write-to-readable freshness: a WriteGate wired to the service reports
+// each dispatched batch (batch_admitted), and the first publish whose
+// pre-cut watermark covers the batch records publish time minus the
+// batch's oldest submit (docs/OBSERVABILITY.md, "Write-to-readable
+// freshness").
+//
 // Consistency contract (stated precisely in docs/SERVING.md, verified by
 // tests/serve/test_query_service.cpp under TSan):
 //  * every answer equals some published versioned snapshot's state;
@@ -45,11 +51,8 @@
 #include "common/types.hpp"
 #include "core/engine.hpp"
 #include "core/snapshot.hpp"
+#include "obs/histogram.hpp"
 #include "runtime/partitioner.hpp"
-
-namespace remo::obs {
-class SpanRecorder;
-}
 
 namespace remo::serve {
 
@@ -126,12 +129,6 @@ struct QueryServiceConfig {
   bool repair_on_refresh = false;
   /// Entries precomputed per kDegree view.
   std::size_t top_k = 16;
-  /// Write-path span recorder (docs/OBSERVABILITY.md §spans). When set,
-  /// the service installs the engine's epoch-drain hook for the recorder
-  /// and notifies it after every view publish, closing write-to-readable
-  /// spans whose admission watermark the view covers. The recorder must
-  /// outlive the service.
-  obs::SpanRecorder* spans = nullptr;
 };
 
 /// Serving counters (docs/OBSERVABILITY.md §serving). Point-in-time; the
@@ -146,6 +143,15 @@ struct ServeStats {
   std::uint64_t read_epoch_lag_events = 0;
   /// Age of the oldest active view (monotonic-clock ns).
   std::uint64_t view_age_ns = 0;
+  /// Write-to-readable freshness of the batches wired gates admitted:
+  /// batches a publish covered, their p50/p99 (ns), batches no publish
+  /// covers yet, and batches admitted while kMaxPendingBatches were
+  /// already pending (never recorded).
+  std::uint64_t freshness_samples = 0;
+  std::uint64_t freshness_p50_ns = 0;
+  std::uint64_t freshness_p99_ns = 0;
+  std::uint64_t freshness_pending = 0;
+  std::uint64_t freshness_dropped = 0;
 
   Json to_json() const;
 };
@@ -213,6 +219,17 @@ class QueryService {
 
   ServeStats stats() const;
 
+  /// A gate's report after dispatching one batch (any thread): its events
+  /// are all counted in `watermark` (Engine::ingested_watermark() read
+  /// after the batch's last injection), and its oldest event was submitted
+  /// at `submitted_ns` (obs::monotonic_ns()). The first publish whose
+  /// pre-cut watermark reaches `watermark` records the batch's freshness.
+  void batch_admitted(std::uint64_t watermark, std::uint64_t submitted_ns);
+
+  /// Admitted batches kept waiting for a covering publish; a batch beyond
+  /// this is counted in ServeStats::freshness_dropped instead.
+  static constexpr std::size_t kMaxPendingBatches = 4096;
+
  private:
   struct Slot {
     std::atomic<bool> active{false};
@@ -235,6 +252,15 @@ class QueryService {
   std::atomic<std::uint64_t> next_version_{1};
   mutable std::atomic<std::uint64_t> queries_served_{0};
   std::atomic<std::uint64_t> refreshes_{0};
+
+  struct PendingBatch {
+    std::uint64_t watermark = 0;
+    std::uint64_t submitted_ns = 0;
+  };
+  mutable std::mutex fresh_mutex_;  // guards the three below
+  std::vector<PendingBatch> pending_;
+  std::uint64_t dropped_ = 0;
+  obs::LatencyHistogram freshness_;
 
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;

@@ -1,6 +1,6 @@
 // Bridge from the serving plane's stats to the obs layer's gauge stream:
-// fill_serving_gauges() copies ServeStats / WriteGateStats / SpanCounts
-// into GaugeSample::serving, so a MetricsExporter sampler that wraps
+// fill_serving_gauges() copies ServeStats / WriteGateStats into
+// GaugeSample::serving, so a MetricsExporter sampler that wraps
 // Engine::sample_gauges() surfaces the whole serving plane in Prometheus
 // and JSONL output. Lives in src/serve (not src/obs) so the dependency
 // points the right way: obs defines the plain ServingGauges struct, serve
@@ -8,21 +8,19 @@
 #pragma once
 
 #include "obs/gauges.hpp"
-#include "obs/span.hpp"
 #include "serve/query_service.hpp"
 #include "serve/write_gate.hpp"
 
 namespace remo::serve {
 
-/// Fill `sample.serving` from whichever serving components exist (any may
-/// be nullptr). Each source is a lock-protected stats read — cheap at
+/// Fill `sample.serving` from whichever serving components exist (either
+/// may be nullptr). Each source is a lock-protected stats read — cheap at
 /// exporter cadence, not per-event.
 inline void fill_serving_gauges(obs::GaugeSample& sample,
                                 const QueryService* service,
-                                const WriteGate* gate,
-                                const obs::SpanRecorder* spans) {
+                                const WriteGate* gate) {
   obs::ServingGauges& out = sample.serving;
-  if (!service && !gate && !spans) return;
+  if (!service && !gate) return;
   out.present = true;
   if (service) {
     const ServeStats st = service->stats();
@@ -31,6 +29,11 @@ inline void fill_serving_gauges(obs::GaugeSample& sample,
     out.served_programs = st.served_programs;
     out.read_epoch_lag_events = st.read_epoch_lag_events;
     out.view_age_ns = st.view_age_ns;
+    out.freshness_samples = st.freshness_samples;
+    out.freshness_p50_ns = st.freshness_p50_ns;
+    out.freshness_p99_ns = st.freshness_p99_ns;
+    out.freshness_pending = st.freshness_pending;
+    out.freshness_dropped = st.freshness_dropped;
   }
   if (gate) {
     const WriteGateStats gs = gate->stats();
@@ -41,16 +44,6 @@ inline void fill_serving_gauges(obs::GaugeSample& sample,
     out.gate_waves = gs.waves;
     out.gate_serial_fallback_batches = gs.serial_fallback_batches;
     out.gate_mean_wave_occupancy = gs.mean_wave_occupancy;
-  }
-  if (spans) {
-    const obs::SpanCounts sc = spans->counts();
-    out.spans_present = true;
-    out.spans_sampled = sc.batches_sampled;
-    out.spans_completed = sc.completed;
-    out.spans_open = sc.open;
-    out.spans_dropped = sc.dropped_open;
-    out.freshness_p50_ns = sc.freshness_p50_ns;
-    out.freshness_p99_ns = sc.freshness_p99_ns;
   }
 }
 

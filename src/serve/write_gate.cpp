@@ -3,7 +3,8 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "obs/span.hpp"
+#include "obs/phase_timer.hpp"
+#include "serve/query_service.hpp"
 
 namespace remo::serve {
 
@@ -38,7 +39,7 @@ WriteGate::~WriteGate() {
 
 void WriteGate::submit(const EdgeEvent& e) {
   std::unique_lock guard(pending_mutex_);
-  if (cfg_.spans && pending_.empty()) pending_oldest_ns_ = engine_.obs_now();
+  if (cfg_.service && pending_.empty()) pending_oldest_ns_ = obs::monotonic_ns();
   pending_.push_back(e);
   {
     std::lock_guard stats_guard(stats_mutex_);
@@ -49,8 +50,8 @@ void WriteGate::submit(const EdgeEvent& e) {
 
 void WriteGate::submit_batch(const std::vector<EdgeEvent>& events) {
   std::unique_lock guard(pending_mutex_);
-  if (cfg_.spans && pending_.empty() && !events.empty())
-    pending_oldest_ns_ = engine_.obs_now();
+  if (cfg_.service && pending_.empty() && !events.empty())
+    pending_oldest_ns_ = obs::monotonic_ns();
   pending_.insert(pending_.end(), events.begin(), events.end());
   {
     std::lock_guard stats_guard(stats_mutex_);
@@ -84,7 +85,7 @@ std::size_t WriteGate::pump_locked(std::unique_lock<std::mutex>& guard) {
     local.clear();
     local.swap(pending_);
     // Every chunk of this swap inherits the swap's oldest-submit stamp —
-    // later chunks have waited at least that long, so kQueue never
+    // later chunks have waited at least that long, so freshness never
     // under-reports.
     const std::uint64_t queued_ns = pending_oldest_ns_;
     pending_oldest_ns_ = 0;
@@ -106,68 +107,39 @@ std::size_t WriteGate::pump_locked(std::unique_lock<std::mutex>& guard) {
 void WriteGate::dispatch_batch(const std::vector<EdgeEvent>& batch,
                                std::uint64_t queued_ns) {
   if (batch.empty()) return;
-  obs::SpanRecorder* rec = cfg_.spans;
-  const std::uint64_t t_begin = rec ? engine_.obs_now() : 0;
-  const obs::TraceId span =
-      rec ? rec->begin_batch(queued_ns ? queued_ns : t_begin, t_begin) : 0;
-
   const WavePlan plan =
       ConflictPartitioner::plan(batch, engine_.config().undirected);
-  std::uint64_t t_plan = t_begin;
-  if (span) {
-    t_plan = engine_.obs_now();
-    rec->stage(span, obs::WriteStage::kPartition, t_plan - t_begin);
-  }
-
-  if (plan.mean_occupancy() < cfg_.min_occupancy) {
-    // Conflict-dominated batch (e.g. a hot pair's history): wave barriers
-    // would serialise it anyway, so skip straight to in-order injection.
-    for (const EdgeEvent& e : batch) engine_.inject_edge(e);
-    if (span) {
-      const std::uint64_t t_done = engine_.obs_now();
-      rec->stage(span, obs::WriteStage::kInject, t_done - t_plan);
-      rec->record_admitted(span, engine_.ingested_watermark(), t_done,
-                           batch.size(),
-                           static_cast<std::uint32_t>(plan.num_waves()), true);
-    }
-    std::lock_guard stats_guard(stats_mutex_);
-    ++stats_.batches;
-    ++stats_.serial_fallback_batches;
-    stats_.events_dispatched += batch.size();
-    return;
-  }
-
-  std::uint64_t inject_ns = 0;  // the pumping thread's own injection time
-  std::uint64_t* inj = span ? &inject_ns : nullptr;
+  // Conflict-dominated batch (e.g. a hot pair's history): wave barriers
+  // would serialise it anyway, so skip straight to in-order injection.
+  const bool serial = plan.mean_occupancy() < cfg_.min_occupancy;
   std::uint64_t parallel_waves = 0;
-  for (std::size_t w = 0; w < plan.num_waves(); ++w) {
-    const std::uint32_t* idx = plan.order.data() + plan.wave_begin[w];
-    const std::size_t n = plan.wave_size(w);
-    if (n < cfg_.min_wave_parallel || cfg_.dispatch_threads <= 1) {
-      inject_slice_timed(batch, idx, n, inj);
-    } else {
-      dispatch_wave_parallel(batch, idx, n, inj);
-      ++parallel_waves;
+  if (serial) {
+    for (const EdgeEvent& e : batch) engine_.inject_edge(e);
+  } else {
+    for (std::size_t w = 0; w < plan.num_waves(); ++w) {
+      const std::uint32_t* idx = plan.order.data() + plan.wave_begin[w];
+      const std::size_t n = plan.wave_size(w);
+      if (n < cfg_.min_wave_parallel || cfg_.dispatch_threads <= 1) {
+        inject_slice(batch, idx, n);
+      } else {
+        dispatch_wave_parallel(batch, idx, n);
+        ++parallel_waves;
+      }
     }
   }
-  if (span) {
-    // The wave barrier has completed every worker's injections (their
-    // watermark bumps happen-before this read), so the watermark stamped
-    // here covers the whole batch. Dispatch = orchestration wall time the
-    // pumping thread did NOT spend injecting: fan-out plus barrier waits.
-    const std::uint64_t t_done = engine_.obs_now();
-    const std::uint64_t wall = t_done - t_plan;
-    rec->stage(span, obs::WriteStage::kInject, inject_ns);
-    rec->stage(span, obs::WriteStage::kDispatch,
-               wall > inject_ns ? wall - inject_ns : 0);
-    rec->record_admitted(span, engine_.ingested_watermark(), t_done,
-                         batch.size(),
-                         static_cast<std::uint32_t>(plan.num_waves()), false);
-  }
+  // The wave barrier has completed every worker's injections (their
+  // watermark bumps happen-before this read), so this watermark covers
+  // the whole batch.
+  if (cfg_.service)
+    cfg_.service->batch_admitted(engine_.ingested_watermark(), queued_ns);
 
   std::lock_guard stats_guard(stats_mutex_);
   ++stats_.batches;
   stats_.events_dispatched += batch.size();
+  if (serial) {
+    ++stats_.serial_fallback_batches;
+    return;
+  }
   stats_.waves += plan.num_waves();
   stats_.parallel_waves += parallel_waves;
   stats_.max_wave_size = std::max<std::uint64_t>(stats_.max_wave_size,
@@ -181,18 +153,6 @@ void WriteGate::inject_slice(const std::vector<EdgeEvent>& batch,
   for (std::size_t i = 0; i < n; ++i) engine_.inject_edge(batch[idx[i]]);
 }
 
-void WriteGate::inject_slice_timed(const std::vector<EdgeEvent>& batch,
-                                   const std::uint32_t* idx, std::size_t n,
-                                   std::uint64_t* inject_ns) {
-  if (!inject_ns) {
-    inject_slice(batch, idx, n);
-    return;
-  }
-  const std::uint64_t t0 = engine_.obs_now();
-  inject_slice(batch, idx, n);
-  *inject_ns += engine_.obs_now() - t0;
-}
-
 void WriteGate::ensure_workers() {
   if (!workers_.empty()) return;
   const std::size_t helpers = cfg_.dispatch_threads - 1;
@@ -203,8 +163,7 @@ void WriteGate::ensure_workers() {
 }
 
 void WriteGate::dispatch_wave_parallel(const std::vector<EdgeEvent>& batch,
-                                       const std::uint32_t* idx, std::size_t n,
-                                       std::uint64_t* inject_ns) {
+                                       const std::uint32_t* idx, std::size_t n) {
   ensure_workers();
   const std::size_t threads = std::min(cfg_.dispatch_threads, n);
   const std::size_t per = (n + threads - 1) / threads;
@@ -221,7 +180,7 @@ void WriteGate::dispatch_wave_parallel(const std::vector<EdgeEvent>& batch,
   }
   work_cv_.notify_all();
   // This thread takes slice 0.
-  inject_slice_timed(batch, idx, std::min(per, n), inject_ns);
+  inject_slice(batch, idx, std::min(per, n));
   // The inter-wave barrier: same-key events live in different waves, so
   // the next wave must not start until every injection of this one is in
   // its destination mailbox (FIFO per rank ⇒ per-pair order preserved).

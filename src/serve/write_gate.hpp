@@ -29,11 +29,9 @@
 #include "gen/stream.hpp"
 #include "runtime/conflict.hpp"
 
-namespace remo::obs {
-class SpanRecorder;
-}
-
 namespace remo::serve {
+
+class QueryService;
 
 struct WriteGateConfig {
   /// Events pulled per pump; submit() auto-pumps when pending reaches this.
@@ -51,11 +49,11 @@ struct WriteGateConfig {
   /// Concurrent injector threads per wave (1 = always serial). The pumping
   /// thread is one of them; dispatch_threads-1 workers are spawned lazily.
   std::size_t dispatch_threads = 2;
-  /// Write-path span recorder (docs/OBSERVABILITY.md §spans). When set,
-  /// every dispatched batch gets a TraceId and per-stage timing
-  /// (queue/partition/dispatch/inject), stamped on the engine's clock. The
-  /// recorder must outlive the gate. nullptr = zero instrumentation cost.
-  obs::SpanRecorder* spans = nullptr;
+  /// The service whose publishes close this gate's batches: after each
+  /// dispatched batch the gate reports its admission watermark and oldest
+  /// submit time (QueryService::batch_admitted), which is how the service
+  /// measures write-to-readable freshness. Must outlive the gate.
+  QueryService* service = nullptr;
 };
 
 struct WriteGateStats {
@@ -99,15 +97,9 @@ class WriteGate {
   void dispatch_batch(const std::vector<EdgeEvent>& batch,
                       std::uint64_t queued_ns);
   void dispatch_wave_parallel(const std::vector<EdgeEvent>& batch,
-                              const std::uint32_t* idx, std::size_t n,
-                              std::uint64_t* inject_ns);
+                              const std::uint32_t* idx, std::size_t n);
   void inject_slice(const std::vector<EdgeEvent>& batch,
                     const std::uint32_t* idx, std::size_t n);
-  /// inject_slice, accumulating its wall time into *inject_ns when the
-  /// dispatched batch is span-sampled (inject_ns nonnull).
-  void inject_slice_timed(const std::vector<EdgeEvent>& batch,
-                          const std::uint32_t* idx, std::size_t n,
-                          std::uint64_t* inject_ns);
   void ensure_workers();
   void worker_main(std::size_t worker);
 
@@ -116,9 +108,10 @@ class WriteGate {
 
   std::mutex pending_mutex_;
   std::vector<EdgeEvent> pending_;
-  /// Submit instant of the oldest event in `pending_` (engine clock),
-  /// stamped on the empty->nonempty transition — the span kQueue origin.
-  /// 0 when pending_ is empty or spans are off.
+  /// Submit instant of the oldest event in `pending_`
+  /// (obs::monotonic_ns()), stamped on the empty->nonempty transition:
+  /// where a batch's freshness starts. 0 when pending_ is empty or no
+  /// service is wired.
   std::uint64_t pending_oldest_ns_ = 0;
   bool pump_active_ = false;  // one pump at a time keeps batches in order
   std::condition_variable pump_cv_;

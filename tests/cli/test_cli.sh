@@ -4,6 +4,7 @@
 set -eu
 
 REMO="$1"
+ROOT="$(cd "$(dirname "$0")/../.." && pwd)"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -64,7 +65,29 @@ for f in "$WORK/ingest.folded" "$WORK/serve.folded"; do
     grep -vE '^rank [0-9]+;.* [0-9]+$' "$f" | head -3
     exit 1
   fi
+  # One line per stack: the text before the last space never repeats.
+  if sed 's/ [0-9]*$//' "$f" | sort | uniq -d | grep -q .; then
+    echo "repeated stack in $f:"
+    sed 's/ [0-9]*$//' "$f" | sort | uniq -d | head -3
+    exit 1
+  fi
 done
+
+echo "== serve --gate reports write-to-readable freshness =="
+"$REMO" serve --graph "$WORK/g.bin" --ranks 2 --queries 2000 \
+    --query-threads 1 --gate --gate-batch 512 --refresh-ms 10 \
+    --stats-json "$WORK/serve.json" | tee "$WORK/serve.out"
+# Every gate batch became readable: as many freshness samples as batches.
+batches=$(sed -n 's/^gate: \([0-9,]*\) batches.*/\1/p' "$WORK/serve.out")
+readable=$(sed -n 's/^freshness: \([0-9,]*\) batches readable.*/\1/p' \
+    "$WORK/serve.out")
+if [ -z "$batches" ] || [ "$batches" != "$readable" ]; then
+  echo "gate batches '$batches', readable '$readable'"; exit 1
+fi
+grep -q '"freshness_pending": 0' "$WORK/serve.json"
+grep -q '"freshness_dropped": 0' "$WORK/serve.json"
+grep -q '"query_p99_ns"' "$WORK/serve.json"
+grep -q '"mean_wave_occupancy"' "$WORK/serve.json"
 
 echo "== bench-compare refuses differing configs unless --force =="
 for batch in 128 256; do
@@ -82,20 +105,41 @@ grep -q "refusing" "$WORK/cmp.out"
 grep -q "config.batch_size" "$WORK/cmp.out"
 "$REMO" bench-compare "$WORK/bench_128.json" "$WORK/bench_256.json" --force
 
+echo "== bench-compare the committed fig9 scratch/memo pair (3% gate) =="
+# One binary and one config wrote both files; only the top-level "arm"
+# marker differs, so the compare must hold without --force.
+"$REMO" bench-compare "$ROOT/bench/results/BENCH_fig9_nonmono_scratch.json" \
+    "$ROOT/bench/results/BENCH_fig9_nonmono_memo.json"
+
 echo "== usage error paths =="
-# A flag the verb does not read exits 2, naming it, before any work.
+# A bad command line exits 2 with `want` on stderr, before any work (no
+# stdout) and never through a failed check.
 refuse() {
-  flag="$1"
+  want="$1"
   shift
   rc=0
   "$REMO" "$@" > "$WORK/out.txt" 2> "$WORK/err.out" || rc=$?
-  if [ "$rc" -ne 2 ]; then echo "remo $*: exit $rc, want 2"; exit 1; fi
-  grep -qF -- "unknown flag $flag" "$WORK/err.out"
+  if [ "$rc" -ne 2 ]; then
+    echo "remo $*: exit $rc, want 2"; cat "$WORK/err.out"; exit 1
+  fi
+  grep -qF -- "$want" "$WORK/err.out"
+  if grep -q "check failed" "$WORK/err.out"; then echo "remo $*: aborted"; exit 1; fi
+  if test -s "$WORK/out.txt"; then echo "remo $*: did work"; exit 1; fi
 }
-refuse --prof ingest --graph "$WORK/g.bin" --prof
-refuse --stats serve --stats
-refuse --help fuzz --help
-if grep -q "case(s) run" "$WORK/out.txt"; then echo "fuzz --help ran cases"; exit 1; fi
+# A flag the verb does not read.
+refuse "unknown flag --prof" ingest --graph "$WORK/g.bin" --prof
+refuse "unknown flag --stats" serve --stats
+refuse "unknown flag --help" fuzz --help
+# The write-path span analyser was removed: its verb is unknown now.
+refuse "usage:" trace-analyze
+# Numeric flags take whole numbers; the engine's counts must be positive.
+refuse "--ranks wants a positive integer" ingest --graph "$WORK/g.bin" --ranks 0
+refuse "--ranks wants a positive integer" ingest --graph "$WORK/g.bin" --ranks abc
+refuse "--streams wants a positive integer" ingest --graph "$WORK/g.bin" --streams 0
+refuse "--batch-size wants a positive integer" ingest --graph "$WORK/g.bin" \
+    --batch-size 0
+refuse "--gate-batch wants a positive integer" serve --graph "$WORK/g.bin" \
+    --gate --gate-batch 0
 if "$REMO" bogus-command 2>/dev/null; then echo "expected failure"; exit 1; fi
 if "$REMO" ingest 2>/dev/null; then echo "expected failure"; exit 1; fi
 # Bad graph files: exit 2 with the file named on stderr, never an abort.

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,14 +54,18 @@ TEST(StackSamplerTest, FoldedOutputFromBusyThread) {
   if (sampler.samples() == 0)
     GTEST_SKIP() << "no samples landed (loaded CI box)";
   EXPECT_NE(folded.find("busy"), std::string::npos);
-  // Every line is "frames count" with a positive trailing count.
+  // Every line is "frames count" with a positive trailing count, and no
+  // two lines share a stack (the text before the last space: demangled
+  // names contain spaces).
   std::istringstream in(folded);
   std::string line;
+  std::set<std::string> stacks;
   while (std::getline(in, line)) {
     ASSERT_FALSE(line.empty());
     const auto sp = line.rfind(' ');
     ASSERT_NE(sp, std::string::npos) << line;
     EXPECT_GT(std::strtoull(line.c_str() + sp + 1, nullptr, 10), 0u) << line;
+    EXPECT_TRUE(stacks.insert(line.substr(0, sp)).second) << "repeated: " << line;
   }
 }
 

@@ -207,60 +207,5 @@ TEST(TraceWriter, FailsOnUnwritablePath) {
   EXPECT_FALSE(write_chrome_trace("/nonexistent-dir/trace.json", "p", {}));
 }
 
-TEST(TraceWriter, FlowContinuationsNeverOrphanedAfterWraparound) {
-  // A flow's begin can live on one track's ring while its continuations
-  // land on other rings; wraparound can overwrite the begin while
-  // continuations survive. The export must never emit a flow step/end
-  // ("t"/"f") whose begin ("s") is gone — viewers render those as
-  // dangling arrows. Build exactly that shape: a tiny begin ring that
-  // forgets most starts, a roomy ring that remembers every continuation.
-  TraceBuffer begins(4), conts(64);
-  for (std::uint64_t f = 1; f <= 20; ++f) {
-    begins.emit_flow("cause", f * 1000, 100, f, FlowPhase::kStart, "cause", f);
-    conts.emit_flow("cause", f * 1000 + 500, 100, f, FlowPhase::kStep);
-    conts.emit_flow("cause", f * 1000 + 700, 100, f, FlowPhase::kEnd);
-  }
-  EXPECT_EQ(begins.dropped(), 16u);  // starts 1..16 overwritten
-
-  const std::string path = temp_path("remo_trace_flow_wrap.json");
-  ASSERT_TRUE(write_chrome_trace(path, "remo-test",
-                                 {TraceTrack{"rank 0", 0, begins.events()},
-                                  TraceTrack{"rank 1", 1, conts.events()}}));
-
-  std::string error;
-  const Json doc = Json::parse(slurp(path), &error);
-  ASSERT_TRUE(error.empty()) << error;
-  const Json* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-
-  // Round-trip check: every continuation id in the emitted JSON must have a
-  // matching begin, and surviving flows keep their full s -> t -> f chain.
-  std::map<std::uint64_t, int> begun, stepped, ended;
-  for (const Json& ev : events->items()) {
-    const std::string ph = ev.find("ph")->as_string();
-    if (ph != "s" && ph != "t" && ph != "f") continue;
-    const std::uint64_t id = ev.find("id")->as_uint();
-    if (ph == "s") ++begun[id];
-    if (ph == "t") ++stepped[id];
-    if (ph == "f") ++ended[id];
-    if (ph != "s") {
-      EXPECT_EQ(begun.count(id), 1u) << "flow " << id << " " << ph
-                                     << " emitted without a begin";
-      EXPECT_TRUE(ev.contains("bp")) << "continuation must bind to enclosing";
-    }
-  }
-  ASSERT_EQ(begun.size(), 4u);  // the retained window: flows 17..20
-  for (std::uint64_t f = 17; f <= 20; ++f) {
-    EXPECT_EQ(begun[f], 1) << f;
-    EXPECT_EQ(stepped[f], 1) << f;
-    EXPECT_EQ(ended[f], 1) << f;
-  }
-  for (std::uint64_t f = 1; f <= 16; ++f) {
-    EXPECT_EQ(stepped.count(f), 0u) << f;
-    EXPECT_EQ(ended.count(f), 0u) << f;
-  }
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace remo::obs::test

@@ -6,12 +6,14 @@
 //                 [--algo none|bfs|sssp|cc|st|degree|wsssp|pagerank] [--source V]
 //                 [--weights MAX] [--snapshot out.txt] [--safra]
 //   remo serve    --graph graph.bin [--queries N] [--query-threads T]
-//                 [--refresh-ms MS] [--gate] [--spans] [--stats-json FILE]
+//                 [--refresh-ms MS] [--gate] [--stats-json FILE]
 //   remo bench-compare A.json B.json [--gate METRIC=PCT] [--force]
 //
 // Files ending in .txt use the text edge format; everything else the
-// packed binary format (src u64, dst u64, weight u32).
+// packed binary format (src u64, dst u64, weight u32). Numeric flags take
+// whole decimal numbers; a bad value exits 2 before any engine is built.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +33,13 @@ using namespace remo;
 
 namespace {
 
+/// A numeric flag whose value the verb cannot use; main reports it as
+/// `remo <verb>: --flag wants <want>` and exits 2.
+struct BadFlag {
+  std::string flag;
+  const char* want;
+};
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> kv;
@@ -39,9 +48,18 @@ struct Args {
     auto it = kv.find("--" + name);
     return it == kv.end() ? dflt : it->second;
   }
-  std::uint64_t num(const std::string& name, std::uint64_t dflt) const {
+  /// --name as a whole decimal number, `dflt` when absent. `positive`
+  /// also refuses 0: the counts the engine requires to be at least 1.
+  std::uint64_t num(const std::string& name, std::uint64_t dflt,
+                    bool positive = false) const {
     auto it = kv.find("--" + name);
-    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == kv.end()) return dflt;
+    const std::string& s = it->second;
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || end != s.data() + s.size() || (positive && v == 0))
+      throw BadFlag{name, positive ? "a positive integer" : "a whole number"};
+    return v;
   }
 };
 
@@ -89,13 +107,10 @@ int usage() {
                "                [--queries N] [--query-threads T] [--refresh-ms MS]\n"
                "                [--top-k K] [--safra] [--seed S]\n"
                "                [--gate] [--gate-batch N] [--gate-threads T]\n"
-               "                [--spans] [--spans-out FILE] [--span-sample SHIFT]\n"
                "                [--stats-json FILE] [--trace FILE]\n"
                "                [--metrics-out FILE] [--metrics-period MS]\n"
                "                [--metrics-format jsonl|prom]\n"
                "                [--folded FILE]\n"
-               "  remo trace-analyze --spans FILE [--tail] [--tail-pct P]\n"
-               "                     [--require-complete]\n"
                "  remo bench-compare A.json B.json [--gate METRIC=PCT]\n"
                "                     [--gate-pct PCT] [--force]\n"
                "  remo fuzz       [--seeds N] [--seed-base S] [--vertices N]\n"
@@ -127,14 +142,9 @@ int usage() {
                "                     idle and the refresher's pacing allows\n"
                "  --gate             admit updates through the conflict-scheduled\n"
                "                     WriteGate (parallel injection of\n"
-               "                     disjoint-target waves) instead of streams\n"
-               "  --spans            trace every admitted batch end-to-end through\n"
-               "                     the write path (needs --gate); prints the\n"
-               "                     write-to-readable freshness p50/p99\n"
-               "  --spans-out FILE   write completed spans + per-stage histograms\n"
-               "                     with exemplars (remo-spans-1 JSON; implies\n"
-               "                     --spans); feed to trace-analyze --spans\n"
-               "  --span-sample N    span every 2^N-th batch (default 0 = all)\n"
+               "                     disjoint-target waves) instead of streams;\n"
+               "                     prints the write-to-readable freshness\n"
+               "                     p50/p99 of its batches\n"
                "  --query-observer   (fuzz / fuzz-repro) serve every case while it\n"
                "                     ingests and repairs, with a query-issuing\n"
                "                     observer; then diff the view published at\n"
@@ -149,15 +159,6 @@ int usage() {
                "  --latency-sample N time every 2^N-th update (default 6; 0 = all)\n"
                "  --folded FILE      sampled on-CPU profile as folded stacks\n"
                "                     (flamegraph.pl compatible)\n"
-               "\n"
-               "write-path spans (docs/OBSERVABILITY.md \"Write-path spans\"):\n"
-               "  trace-analyze --spans FILE\n"
-               "                     read a remo-spans-1 dump; print the freshness\n"
-               "                     percentiles. With --tail, attribute latency at\n"
-               "                     --tail-pct (default 99) across the six write\n"
-               "                     stages and list exemplar trace IDs; with\n"
-               "                     --require-complete, exit 1 if any sampled span\n"
-               "                     never closed\n"
                "\n"
                "message path (DESIGN.md §6):\n"
                "  --batch-size N     per-destination send-buffer batch (default 128)\n"
@@ -268,9 +269,11 @@ int cmd_ingest(const Args& a) {
   const EdgeList edges = load(path);
 
   EngineConfig cfg;
-  cfg.num_ranks = static_cast<RankId>(a.num("ranks", 4));
+  cfg.num_ranks = static_cast<RankId>(a.num("ranks", 4, true));
+  const std::size_t n_streams = a.num("streams", cfg.num_ranks, true);
   if (a.flag("safra")) cfg.termination = TerminationMode::kSafra;
-  cfg.batch_size = static_cast<std::size_t>(a.num("batch-size", cfg.batch_size));
+  cfg.batch_size =
+      static_cast<std::size_t>(a.num("batch-size", cfg.batch_size, true));
   if (a.flag("no-coalesce")) cfg.coalesce = false;
 
   const bool want_stats = a.flag("stats");
@@ -327,7 +330,6 @@ int cmd_ingest(const Args& a) {
   opts.seed = a.num("seed", 7);
   if (const std::uint64_t maxw = a.num("weights", 1); maxw > 1)
     opts.max_weight = static_cast<Weight>(maxw);
-  const std::size_t n_streams = a.num("streams", cfg.num_ranks);
   const StreamSet streams = make_streams(edges, n_streams, opts);
 
   // Live telemetry (docs/OBSERVABILITY.md): periodic exporter, stall
@@ -462,30 +464,16 @@ int cmd_serve(const Args& a) {
   const EdgeList edges = load(path);
 
   const std::string trace_path = a.str("trace");
-  const std::string spans_out = a.str("spans-out");
   const bool use_gate = a.flag("gate");
-  bool want_spans = a.flag("spans") || !spans_out.empty();
-  if (want_spans && !use_gate) {
-    std::fprintf(stderr,
-                 "note: --spans traces the WriteGate write path; ignored "
-                 "without --gate\n");
-    want_spans = false;
-  }
 
   EngineConfig cfg;
-  cfg.num_ranks = static_cast<RankId>(a.num("ranks", 4));
+  cfg.num_ranks = static_cast<RankId>(a.num("ranks", 4, true));
+  const std::size_t n_streams = a.num("streams", cfg.num_ranks, true);
+  const std::size_t gate_batch = a.num("gate-batch", 1024, true);
   if (a.flag("safra")) cfg.termination = TerminationMode::kSafra;
   cfg.obs.trace = !trace_path.empty();
   cfg.obs.stacks = !a.str("folded").empty();
   Engine engine(cfg);
-
-  std::unique_ptr<obs::SpanRecorder> spans;
-  if (want_spans) {
-    obs::SpanRecorderConfig rcfg;
-    rcfg.sample_shift = static_cast<std::uint32_t>(a.num("span-sample", 0));
-    spans = std::make_unique<obs::SpanRecorder>(rcfg);
-  }
-  std::unique_ptr<serve::WriteGate> gate;  // created with the write side
 
   const VertexId source = a.num("source", edges.empty() ? 0 : edges.front().src);
   auto [bfs_id, bfs] = engine.attach_make<DynamicBfs>(source);
@@ -498,15 +486,25 @@ int cmd_serve(const Args& a) {
   scfg.refresh_period_ms =
       static_cast<std::uint32_t>(a.num("refresh-ms", 50));
   scfg.top_k = a.num("top-k", 16);
-  scfg.spans = spans.get();
   serve::QueryService qs(engine, scfg);
   qs.serve(bfs_id, serve::ViewRole::kDistance);
   qs.serve(cc_id, serve::ViewRole::kComponent);
   qs.serve(deg_id, serve::ViewRole::kDegree);
   qs.start();
 
+  // The write side's gate reports every batch to the service, whose
+  // publishes time it: write-to-readable freshness.
+  std::unique_ptr<serve::WriteGate> gate;
+  if (use_gate) {
+    serve::WriteGateConfig gcfg;
+    gcfg.batch_limit = gate_batch;
+    gcfg.dispatch_threads = std::max<std::uint64_t>(1, a.num("gate-threads", 2));
+    gcfg.service = &qs;
+    gate = std::make_unique<serve::WriteGate>(engine, gcfg);
+  }
+
   // Live telemetry over the whole serving plane: the sampler decorates
-  // engine gauges with serve/gate/span counters (docs/OBSERVABILITY.md).
+  // engine gauges with serve/gate counters (docs/OBSERVABILITY.md).
   std::unique_ptr<obs::MetricsExporter> exporter;
   if (const std::string metrics_out = a.str("metrics-out");
       !metrics_out.empty()) {
@@ -524,9 +522,9 @@ int cmd_serve(const Args& a) {
       return usage();
     }
     exporter = std::make_unique<obs::MetricsExporter>(
-        [&engine, &qs, &gate, &spans] {
+        [&engine, &qs, &gate] {
           obs::GaugeSample s = engine.sample_gauges();
-          serve::fill_serving_gauges(s, &qs, gate.get(), spans.get());
+          serve::fill_serving_gauges(s, &qs, gate.get());
           return s;
         },
         ecfg);
@@ -543,12 +541,6 @@ int cmd_serve(const Args& a) {
   std::atomic<std::uint64_t> issued{0};
   std::vector<obs::LatencyHistogram> hists(readers);
   std::vector<std::thread> reader_threads;
-  const auto now_ns = [] {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  };
   for (std::size_t t = 0; t < readers; ++t) {
     reader_threads.emplace_back([&, t] {
       Xoshiro256 rng(seed ^ (0x5bf0'3635'0ce1'0ae5ULL * (t + 1)));
@@ -556,7 +548,7 @@ int cmd_serve(const Args& a) {
         const VertexId u = static_cast<VertexId>(rng.bounded(max_vertex + 1));
         const VertexId v = static_cast<VertexId>(rng.bounded(max_vertex + 1));
         const std::uint64_t kind = rng.bounded(100);
-        const std::uint64_t t0 = now_ns();
+        const std::uint64_t t0 = obs::monotonic_ns();
         if (kind < 40)
           (void)qs.distance(bfs_id, u);
         else if (kind < 60)
@@ -567,21 +559,16 @@ int cmd_serve(const Args& a) {
           (void)qs.reachable(bfs_id, u);
         else
           (void)qs.top_k_degree(deg_id, 8);
-        hists[t].record(now_ns() - t0);
+        hists[t].record(obs::monotonic_ns() - t0);
       }
     });
   }
 
   // Write side: classic pull streams, or conflict-scheduled gate admission.
   IngestStats stats;
-  if (use_gate) {
-    serve::WriteGateConfig gcfg;
-    gcfg.batch_limit = a.num("gate-batch", 1024);
-    gcfg.dispatch_threads = std::max<std::uint64_t>(1, a.num("gate-threads", 2));
-    gcfg.spans = spans.get();
-    gate = std::make_unique<serve::WriteGate>(engine, gcfg);
-    StreamOptions opts;
-    opts.seed = seed;
+  StreamOptions opts;
+  opts.seed = seed;
+  if (gate) {
     const StreamSet streams = make_streams(edges, 1, opts);
     const auto t0 = std::chrono::steady_clock::now();
     gate->submit_batch(streams.stream(0).events());
@@ -602,9 +589,6 @@ int cmd_serve(const Args& a) {
         with_commas(gs.serial_fallback_batches).c_str(), gs.mean_wave_occupancy,
         with_commas(gs.max_wave_size).c_str());
   } else {
-    StreamOptions opts;
-    opts.seed = seed;
-    const std::size_t n_streams = a.num("streams", cfg.num_ranks);
     const StreamSet streams = make_streams(edges, n_streams, opts);
     stats = engine.ingest(streams);
   }
@@ -629,85 +613,26 @@ int cmd_serve(const Args& a) {
               with_commas(ss.refreshes).c_str(),
               with_commas(ss.read_epoch_lag_events).c_str(),
               static_cast<double>(ss.view_age_ns) / 1e6);
-  if (spans) {
-    const obs::SpanCounts sc = spans->counts();
+  if (gate)
     std::printf(
-        "spans: %s completed of %s sampled (%s open, %s dropped) — "
+        "freshness: %s batches readable (%s pending, %s dropped) — "
         "write-to-readable p50 %.2f ms, p99 %.2f ms\n",
-        with_commas(sc.completed).c_str(),
-        with_commas(sc.batches_sampled).c_str(), with_commas(sc.open).c_str(),
-        with_commas(sc.dropped_open).c_str(),
-        static_cast<double>(sc.freshness_p50_ns) / 1e6,
-        static_cast<double>(sc.freshness_p99_ns) / 1e6);
-  }
-
-  if (!spans_out.empty() && spans) {
-    std::FILE* f = std::fopen(spans_out.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", spans_out.c_str());
-      return 1;
-    }
-    const std::string text = spans->snapshot().to_json().dump(2);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("spans written to %s (analyze with `remo trace-analyze "
-                "--spans %s --tail`)\n",
-                spans_out.c_str(), spans_out.c_str());
-  }
+        with_commas(ss.freshness_samples).c_str(),
+        with_commas(ss.freshness_pending).c_str(),
+        with_commas(ss.freshness_dropped).c_str(),
+        static_cast<double>(ss.freshness_p50_ns) / 1e6,
+        static_cast<double>(ss.freshness_p99_ns) / 1e6);
 
   if (const int rc = report_folded(a, engine); rc != 0) return rc;
 
   if (const std::string stats_json = a.str("stats-json"); !stats_json.empty()) {
     // The engine's remo-stats-1 document, decorated with the serving plane.
     Json doc = engine.metrics_snapshot().to_json();
-    Json sj = Json::object();
-    sj["queries_served"] = ss.queries_served;
-    sj["refreshes"] = ss.refreshes;
-    sj["served_programs"] = ss.served_programs;
-    sj["read_epoch_lag_events"] = ss.read_epoch_lag_events;
-    sj["view_age_ns"] = ss.view_age_ns;
+    Json sj = ss.to_json();
     sj["query_p50_ns"] = merged.p50();
     sj["query_p99_ns"] = merged.p99();
-    doc["serve"] = sj;
-    if (gate) {
-      const serve::WriteGateStats gs = gate->stats();
-      Json gj = Json::object();
-      gj["events_submitted"] = gs.events_submitted;
-      gj["events_dispatched"] = gs.events_dispatched;
-      gj["batches"] = gs.batches;
-      gj["waves"] = gs.waves;
-      gj["parallel_waves"] = gs.parallel_waves;
-      gj["serial_fallback_batches"] = gs.serial_fallback_batches;
-      gj["mean_wave_occupancy"] = gs.mean_wave_occupancy;
-      gj["max_wave_size"] = gs.max_wave_size;
-      doc["write_gate"] = gj;
-    }
-    if (spans) {
-      const obs::SpanSnapshot sn = spans->snapshot();
-      Json sp = Json::object();
-      sp["batches_seen"] = sn.batches_seen;
-      sp["batches_sampled"] = sn.batches_sampled;
-      sp["completed"] = sn.completed;
-      sp["open"] = sn.open;
-      sp["dropped_open"] = sn.dropped_open;
-      Json fr = Json::object();
-      fr["p50_ns"] = sn.freshness.hist.p50();
-      fr["p90_ns"] = sn.freshness.hist.p90();
-      fr["p99_ns"] = sn.freshness.hist.p99();
-      fr["max_ns"] = sn.freshness.hist.max;
-      sp["freshness"] = fr;
-      Json stages = Json::object();
-      for (std::size_t i = 0; i < obs::kWriteStageCount; ++i) {
-        const obs::HistogramSnapshot& h = sn.stages[i].hist;
-        Json e = Json::object();
-        e["p50_ns"] = h.p50();
-        e["p99_ns"] = h.p99();
-        stages[obs::write_stage_name(static_cast<obs::WriteStage>(i))] = e;
-      }
-      sp["stages"] = stages;
-      doc["spans"] = sp;
-    }
+    doc["serve"] = std::move(sj);
+    if (gate) doc["write_gate"] = gate->stats().to_json();
     std::FILE* f = std::fopen(stats_json.c_str(), "w");
     if (!f) {
       std::fprintf(stderr, "cannot open %s\n", stats_json.c_str());
@@ -721,11 +646,7 @@ int cmd_serve(const Args& a) {
   }
 
   if (!trace_path.empty()) {
-    std::vector<obs::TraceTrack> extra;
-    if (spans)
-      extra.push_back(spans->trace_track(
-          static_cast<std::uint32_t>(cfg.num_ranks) + 1));
-    if (engine.write_trace(trace_path, std::move(extra))) {
+    if (engine.write_trace(trace_path)) {
       std::printf("trace written to %s (load in ui.perfetto.dev or "
                   "chrome://tracing)\n", trace_path.c_str());
     } else if (!engine.tracing_enabled()) {
@@ -760,64 +681,6 @@ bool load_json_file(const std::string& path, Json& doc) {
     return false;
   }
   return true;
-}
-
-// Write-path span analysis: `--spans FILE --tail` prints the per-stage
-// attribution table for tail write-to-readable latency (docs/OBSERVABILITY.md
-// has the runbook built around this report).
-int analyze_spans(const Args& a, const std::string& path) {
-  Json doc;
-  if (!load_json_file(path, doc)) return 1;
-  std::string error;
-  obs::SpanSnapshot snap;
-  if (!obs::SpanSnapshot::from_json(doc, snap, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-  if (a.flag("tail")) {
-    double pct = 99.0;
-    if (a.kv.count("--tail-pct"))
-      pct = std::strtod(a.str("tail-pct").c_str(), nullptr);
-    if (!(pct > 0.0 && pct < 100.0)) {
-      std::fprintf(stderr, "--tail-pct wants a percentile in (0, 100)\n");
-      return 1;
-    }
-    std::fputs(obs::format_tail_report(snap, pct).c_str(), stdout);
-  } else {
-    const obs::HistogramSnapshot& h = snap.freshness.hist;
-    std::printf(
-        "spans: %s completed of %s sampled (%s open, %s dropped)\n"
-        "write-to-readable: p50 %.2f ms, p90 %.2f ms, p99 %.2f ms, max "
-        "%.2f ms\n"
-        "(re-run with --tail for per-stage attribution and exemplars)\n",
-        with_commas(snap.completed).c_str(),
-        with_commas(snap.batches_sampled).c_str(),
-        with_commas(snap.open).c_str(), with_commas(snap.dropped_open).c_str(),
-        static_cast<double>(h.p50()) / 1e6, static_cast<double>(h.p90()) / 1e6,
-        static_cast<double>(h.p99()) / 1e6, static_cast<double>(h.max) / 1e6);
-  }
-
-  // CI gate: sampled spans that never completed mean the write path lost
-  // track of a batch (or the run ended before its covering publish).
-  if (a.flag("require-complete")) {
-    if (snap.open > 0 || snap.dropped_open > 0) {
-      std::fprintf(stderr,
-                   "%llu span(s) still open, %llu dropped — write path lost "
-                   "batches\n",
-                   static_cast<unsigned long long>(snap.open),
-                   static_cast<unsigned long long>(snap.dropped_open));
-      return 1;
-    }
-    std::printf("all %s sampled spans completed\n",
-                with_commas(snap.batches_sampled).c_str());
-  }
-  return 0;
-}
-
-int cmd_trace_analyze(const Args& a) {
-  if (const std::string spans_path = a.str("spans"); !spans_path.empty())
-    return analyze_spans(a, spans_path);
-  return usage();
 }
 
 // --- Bench regression gate (docs/OBSERVABILITY.md "Bench regression harness")
@@ -1055,10 +918,7 @@ int main(int argc, char** argv) {
                           "watchdog"})},
       {"serve", cmd_serve,
        with_engine_flags({"queries", "query-threads", "refresh-ms", "top-k", "gate",
-                          "gate-batch", "gate-threads", "spans", "spans-out",
-                          "span-sample"})},
-      {"trace-analyze", cmd_trace_analyze,
-       {"spans", "tail", "tail-pct", "require-complete"}},
+                          "gate-batch", "gate-threads"})},
       {"fuzz", cmd_fuzz,
        {"seeds", "seed-base", "vertices", "events", "deletes", "mutations",
         "max-weight", "algo", "query-observer", "keep-going", "no-shrink",
@@ -1066,7 +926,8 @@ int main(int argc, char** argv) {
       {"fuzz-repro", cmd_fuzz_repro,
        {"file", "query-observer", "shrink", "shrink-runs", "out"}},
   };
-  // Bad input files (src/io) throw; report them instead of aborting.
+  // Bad input files (src/io) and bad numeric flags throw; report them
+  // instead of aborting.
   try {
     if (a.command == "bench-compare") return cmd_bench_compare(argc, argv);
     for (const Verb& v : verbs) {
@@ -1074,6 +935,10 @@ int main(int argc, char** argv) {
       if (!flags_known(a, v.flags)) return 2;
       return v.run(a);
     }
+  } catch (const BadFlag& e) {
+    std::fprintf(stderr, "remo %s: --%s wants %s\n", a.command.c_str(),
+                 e.flag.c_str(), e.want);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "remo: %s\n", e.what());
     return 2;
